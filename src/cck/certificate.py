@@ -29,6 +29,7 @@ from . import equivariant, spectrum
 from .errors import (
     CapacityTooSmall,
     InvalidCapacities,
+    InvalidInput,
     NoWitnessBelowLimit,
 )
 from .primes import is_prime, primes_from
@@ -174,9 +175,11 @@ def find_witness_prime(c_r, c_R, limit: int = DEFAULT_WITNESS_LIMIT) -> int:
 def _certify_lens_side(n: int, N: int, c: Fraction) -> tuple[int, list[int]]:
     """Free-action data for one capacity: positive index and unit weights.
 
-    Builds the lens cohomology of the weighted sphere quotient, the
-    unbounded fixed-point profile, and runs the dichotomy; returns the
-    index and weights after re-verifying freeness.
+    Builds the lens cohomology of the weighted sphere quotient and the
+    unbounded fixed-point profile, checks that both are one-dimensional
+    in every computed degree, and runs the dichotomy; returns the index
+    and weights after re-verifying freeness.  Raises InvalidInput when a
+    computed profile differs from the expected one.
     """
     index = math.ceil(Fraction(N) / c) - 1
     weights = spectrum.cyclic_weights(n, index, N)
@@ -189,6 +192,11 @@ def _certify_lens_side(n: int, N: int, c: Fraction) -> tuple[int, list[int]]:
         bounded = equivariant.GradedFpVector({}, top=-1)
     depth = max(20, 2 * n * index + 2)
     unbounded = equivariant.point_equivariant_cohomology(N, depth)
+    top = 2 * len(weights) - 1
+    if bounded.dims != dict.fromkeys(range(top + 1), 1) or bounded.top != top:
+        raise InvalidInput(f"lens profile is not one-dimensional in 0..{top} with top {top}")
+    if unbounded.dims != dict.fromkeys(range(depth + 1), 1) or unbounded.bounded:
+        raise InvalidInput(f"point profile is not one-dimensional and unbounded in 0..{depth}")
     equivariant.boundedness_dichotomy(bounded, unbounded)
     return index, weights
 

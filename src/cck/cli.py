@@ -22,6 +22,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -45,7 +46,15 @@ class UsageError(Exception):
 
 
 class Parser(argparse.ArgumentParser):
-    """argparse with BSD-style exit code 64 on usage errors."""
+    """argparse with BSD-style exit code 64 on usage errors.
+
+    A negative number or comma-separated vector such as -0.2,0.4 is read
+    as a value, not as an unknown flag.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d*\.?\d+(,-?\d*\.?\d+)*$")
 
     def error(self, message):
         raise UsageError(message)
@@ -259,7 +268,8 @@ def cmd_spectrum(args) -> int:
     else:
         half = (M * N - 1) // 2
         index = int(np.sum(analytic[1 : half + 1] > 1e-9))
-        brute = index
+        # MN is odd and lambda_0 > 0 for A < 0: the other positives come in pairs
+        brute = (int(np.sum(numeric > 1e-9)) - 1) // 2
     sphere_dim = 2 * args.n * index - 1
     weights = spectrum.cyclic_weights(args.n, index, N)
     checks = [

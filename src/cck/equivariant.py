@@ -17,19 +17,23 @@ yields the same dimensions in every degree without bound, and the
 mechanized dichotomy between the two behaviours is the contradiction
 engine of the certificate.
 
-All computations run through exact Gaussian elimination mod N; the
-module-hom spaces are realized concretely as invariant functionals of
-the regular representation, and the induced cochain maps are obtained
-by restricting transposed differentials to those subspaces.
+Every differential is multiplication by a group-ring element, g^w - 1 or
+the norm, kept as its N coefficients.  hom_G(F_N[G], F_N) is the line of
+constant functionals, so each cochain map is the 1 x 1 matrix of the
+element's augmentation mod N, and the cohomology comes from exact ranks
+of those.  No N x N matrix is built on this path; the dense regular
+representation (generator_matrix, resolution_maps) is kept as the
+reference the tests compare against.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .errors import InvalidInput, NonFreeAction
-from .fp import FpMatrix, cochain_cohomology_dims, restricted_map
+from .fp import FpMatrix, cochain_cohomology_dims
 from .primes import is_prime
 
 
@@ -86,61 +90,54 @@ def generator_matrix(N: int) -> FpMatrix:
     )
 
 
-def _power_minus_one(N: int, w: int) -> FpMatrix:
-    g = generator_matrix(N)
-    power = FpMatrix.identity(N, N)
-    for _ in range(w % N):
-        power = g @ power
-    ident = FpMatrix.identity(N, N)
-    return FpMatrix.from_rows(
-        [[(a - b) % N for a, b in zip(ra, rb)] for ra, rb in zip(power.entries, ident.entries)],
-        N,
-    )
-
-
 def resolution_maps(N: int) -> tuple[FpMatrix, FpMatrix]:
     """Multiplication by (g - 1) and by the norm on the regular representation.
 
     rank(g - 1) = N - 1 and rank(norm) = 1, and the two compose to zero
     in both orders: the 2-periodic resolution of the trivial module.
+    This dense view is the reference the group-ring path is tested
+    against.
     """
     if not is_prime(N) or N == 2:
         raise ValueError("N must be an odd prime")
-    tminus1 = _power_minus_one(N, 1)
+    g = generator_matrix(N)
+    tminus1 = FpMatrix.from_rows(
+        [[x - int(i == j) for j, x in enumerate(row)] for i, row in enumerate(g.entries)], N
+    )
     norm = FpMatrix.from_rows([[1] * N for _ in range(N)], N)
     return tminus1, norm
 
 
-def _invariant_basis(N: int) -> list[tuple[int, ...]]:
-    """Basis of module homs K[G] -> trivial K, as invariant functionals."""
-    g = generator_matrix(N)
-    return _power_minus_one_t(g).kernel_basis()
+def _shift_minus_one(N: int, w: int) -> tuple[int, ...]:
+    """g^w - 1 in F_N[Z/N], as the coefficients of 1, g, ..., g^(N-1)."""
+    coeffs = [0] * N
+    coeffs[0] = N - 1
+    coeffs[w % N] = (coeffs[w % N] + 1) % N
+    return tuple(coeffs)
 
 
-def _power_minus_one_t(g: FpMatrix) -> FpMatrix:
-    ident = FpMatrix.identity(g.rows, g.p)
-    gt = g.transpose()
-    return FpMatrix.from_rows(
-        [[(a - b) % g.p for a, b in zip(ra, rb)] for ra, rb in zip(gt.entries, ident.entries)],
-        g.p,
-    )
+def _norm(N: int) -> tuple[int, ...]:
+    """1 + g + ... + g^(N-1) in F_N[Z/N]."""
+    return (1,) * N
 
 
-def _hom_complex_dims(differentials: list[FpMatrix], N: int) -> list[int]:
-    """H^0..H^m of hom(C_., trivial) for a complex of single regular reps.
+def _hom_complex_dims(differentials: Iterable[tuple[int, ...]], N: int) -> list[int]:
+    """H^0..H^m of hom_G(C_., F_N) for a complex of free rank-one modules.
 
-    differentials[i-1] is the chain map C_i -> C_(i-1); the hom spaces
-    are the invariant functionals and the cochain maps are transposed
-    differentials restricted to them.
+    The i-th element of differentials (from 1) is the group-ring element
+    by which C_i -> C_(i-1) multiplies; an iterator keeps only one of them
+    in memory at a time.  hom_G(F_N[G], F_N) is the line of constant
+    functionals, and precomposing one with multiplication by x scales it
+    by the augmentation of x, so every cochain map is that 1 x 1 matrix.
     """
-    basis = _invariant_basis(N)
-    deltas = [restricted_map(d.transpose(), basis, basis) for d in differentials]
-    dims = [len(basis)] * (len(differentials) + 1)
-    return cochain_cohomology_dims(deltas, dims)
+    deltas = [FpMatrix.from_rows([[sum(x)]], N) for x in differentials]
+    return cochain_cohomology_dims(deltas, [1] * (len(deltas) + 1))
 
 
-def _periodic_differentials(N: int, count: int) -> list[FpMatrix]:
-    tminus1, norm = resolution_maps(N)
+def _periodic_differentials(N: int, count: int) -> list[tuple[int, ...]]:
+    if not is_prime(N) or N == 2:
+        raise ValueError("N must be an odd prime")
+    tminus1, norm = _shift_minus_one(N, 1), _norm(N)
     return [tminus1 if i % 2 == 1 else norm for i in range(1, count + 1)]
 
 
@@ -148,17 +145,8 @@ def ext_trivial(N: int, degree: int) -> int:
     """dim Ext^degree between trivial F_N[Z/N]-modules; equals 1 for all degrees."""
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    if not is_prime(N) or N == 2:
-        raise ValueError("N must be an odd prime")
     dims = _hom_complex_dims(_periodic_differentials(N, degree + 1), N)
     return dims[degree]
-
-
-def yoneda_degree(d1: int, d2: int) -> int:
-    """Degree of a concatenated pair of composable classes: additivity."""
-    if d1 < 0 or d2 < 0:
-        raise ValueError("degrees must be >= 0")
-    return d1 + d2
 
 
 def lens_cohomology(lens: LensData) -> GradedFpVector:
@@ -177,13 +165,11 @@ def lens_cohomology(lens: LensData) -> GradedFpVector:
         if w % N == 0:
             raise NonFreeAction(f"weight {w} is not a unit mod {N}")
     d = len(lens.weights)
-    tminus1, norm = resolution_maps(N)
-    differentials = []
-    for i in range(1, 2 * d):
-        if i % 2 == 1:
-            differentials.append(_power_minus_one(N, lens.weights[(i - 1) // 2]))
-        else:
-            differentials.append(norm)
+    norm = _norm(N)
+    differentials = (
+        _shift_minus_one(N, lens.weights[i // 2]) if i % 2 == 0 else norm
+        for i in range(2 * d - 1)
+    )
     dims = _hom_complex_dims(differentials, N)
     return GradedFpVector({i: dims[i] for i in range(2 * d) if dims[i]}, top=2 * d - 1)
 

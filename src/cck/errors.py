@@ -28,7 +28,7 @@ class NonFreeAction(CckError):
 
 
 class InvalidInput(CckError):
-    """Boundedness flags do not match the dichotomy preconditions."""
+    """A computed cohomology profile does not match the dichotomy preconditions."""
 
 
 class InvalidCapacities(CckError):

@@ -1,9 +1,12 @@
 """Exact linear algebra over the prime field F_p.
 
 Everything here is integer arithmetic with Gaussian elimination mod p;
-no floating point is involved anywhere.  Matrices are small (the prime
-N and the resolution length are in the single or low double digits), so
-plain list-of-list elimination is entirely adequate.
+no floating point is involved anywhere.  In production,
+cochain_cohomology_dims receives the 1 x 1 cochain maps that
+cck.equivariant reads off group-ring augmentations.  The dense route
+(products, kernels, solve_in_basis, restricted_map) realizes the same
+hom complexes on the N x N regular representation and is the test
+oracle for that path, so plain list-of-list elimination is adequate.
 """
 
 from __future__ import annotations
@@ -40,10 +43,6 @@ class FpMatrix:
     @classmethod
     def from_rows(cls, rows, p: int) -> "FpMatrix":
         return cls(p, tuple(tuple(x % p for x in row) for row in rows))
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int, p: int) -> "FpMatrix":
-        return cls(p, tuple(tuple(0 for _ in range(cols)) for _ in range(rows)))
 
     @classmethod
     def identity(cls, n: int, p: int) -> "FpMatrix":

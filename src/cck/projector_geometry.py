@@ -287,15 +287,5 @@ def sigma_membership_grid(query: BlockQuery, grid_points: int = 10_000) -> bool:
     a = (np.arange(1, grid_points + 1) / grid_points) * (math.pi / 2.0)
     f = action_profile(query.R, query.q1, query.q2, a)
     mask = f <= query.t
-    idx = 0
-    n = mask.size
-    while idx < n:
-        if mask[idx]:
-            start = idx
-            while idx < n and mask[idx]:
-                idx += 1
-            if start > 0:
-                return True
-        else:
-            idx += 1
-    return False
+    # a run starting after index 0 is one that does not touch the open left end
+    return bool(np.any(mask[1:] & ~mask[:-1]))

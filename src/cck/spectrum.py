@@ -80,13 +80,6 @@ class CirculantActionForm:
         return 2.0 * self.A / self.M
 
 
-class SpectralSummary(NamedTuple):
-    eigenvalues: np.ndarray
-    positive_index: int
-    sphere_dim: int
-    weights: list[int]
-
-
 class DimensionData(NamedTuple):
     D_lemma: int
     D_prop: int
@@ -295,19 +288,3 @@ def cyclic_weights(n: int, index_count: int, N: int) -> list[int]:
         raise ValueError("N must be an odd prime > 3")
     return [l % N for l in range(1, index_count + 1) for _ in range(n)]
 
-
-def spectral_summary(form: CirculantActionForm, T, c) -> SpectralSummary:
-    """Eigenvalues of the given form plus the exact index data at (T, c).
-
-    The caller is expected to have built the form at the substituted
-    flow parameter so that the float spectrum and the rational index
-    describe the same quadratic form.
-    """
-    index = positive_index(form.n, form.N, form.M, T, c)
-    dims = dimension_formulas(form.n, T, c)
-    return SpectralSummary(
-        analytic_eigenvalues(form),
-        index,
-        dims.sphere_dim,
-        cyclic_weights(form.n, index, form.N),
-    )

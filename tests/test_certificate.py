@@ -15,11 +15,14 @@ from cck.certificate import (
     nonsqueezing_certificate,
     restriction_degree,
 )
+from cck import cli, equivariant
 from cck.errors import (
     CapacityTooSmall,
     InvalidCapacities,
+    InvalidInput,
     NoWitnessBelowLimit,
 )
+from cck.fp import FpMatrix
 from cck.primes import is_prime
 from cck.spectrum import positive_index
 
@@ -191,3 +194,34 @@ def test_restriction_degree_monotone_in_capacity(n, N, num, den):
     if c < 1:
         return
     assert restriction_degree(n, N, c + Fraction(1, 7)) <= restriction_degree(n, N, c)
+
+
+@pytest.mark.parametrize(
+    "c_R, N, ceil_R, deg_R",
+    [("101/100", 101, 100, 200), ("1001/1000", 1009, 1008, 2016)],
+)
+def test_certificate_large_witness_builds_no_dense_matrix(monkeypatch, c_R, N, ceil_R, deg_R):
+    def refuse(*args):
+        raise AssertionError("dense N x N matrix built on the certificate path")
+
+    monkeypatch.setattr(FpMatrix, "__matmul__", refuse)
+    monkeypatch.setattr(equivariant, "generator_matrix", refuse)
+    cert = nonsqueezing_certificate(1, 1, c_R)
+    assert cert.verdict is Verdict.OBSTRUCTED
+    assert (cert.N, cert.ceil_R, cert.ceil_r) == (N, ceil_R, N)
+    assert (cert.deg_R, cert.deg_r) == (deg_R, 2 * N)
+
+
+def test_certificate_rejects_computed_lens_profile_mismatch(monkeypatch, capsys):
+    original = equivariant.lens_cohomology
+
+    def drop_degree(lens):
+        graded = original(lens)
+        del graded.dims[1]
+        return graded
+
+    monkeypatch.setattr(equivariant, "lens_cohomology", drop_degree)
+    with pytest.raises(InvalidInput):
+        nonsqueezing_certificate(1, 1, 2)
+    assert cli.main(["certificate", "--cr", "1", "--cR", "2"]) == 1
+    assert "InvalidInput" in capsys.readouterr().err

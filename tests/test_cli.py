@@ -1,8 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
-from cck import cli
+from cck import cli, spectrum
 
 
 def run_cli(capsys, *argv):
@@ -73,6 +74,26 @@ def test_spectrum_report(capsys):
     assert all(check["passed"] for check in doc["checks"])
 
 
+def test_spectrum_index_check_counts_numeric_eigenvalues(capsys, monkeypatch):
+    argv = ("spectrum", "--N", "5", "--M", "5", "--A", "-0.7")
+    code, doc, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert doc["checks"][1] == {
+        "name": "index_vs_eigenvalue_count", "passed": True, "residual": 0.0, "tolerance": 0.0,
+    }
+    original = spectrum.numeric_eigenvalues
+
+    def flip_positive_pair(matrix):
+        values = original(matrix).copy()
+        values[-3:-1] *= -1.0  # the pair l = 1 just below the largest, lambda_0
+        return np.sort(values)
+
+    monkeypatch.setattr(spectrum, "numeric_eigenvalues", flip_positive_pair)
+    code, doc, _ = run_cli(capsys, *argv)
+    assert doc["checks"][1]["name"] == "index_vs_eigenvalue_count"
+    assert doc["checks"][1]["passed"] is False
+
+
 def test_spectrum_singular_flow(capsys):
     code, doc, err = run_cli(capsys, "spectrum", "--N", "5", "--M", "5", "--A", "0")
     assert code == 1
@@ -103,6 +124,14 @@ def test_gamma_grid_oracle(capsys):
     names = {check["name"] for check in doc["checks"]}
     assert {"f1_vs_grid", "f2_vs_grid", "membership_vs_grid"} <= names
     assert all(check["passed"] for check in doc["checks"])
+
+
+def test_gamma_negative_vector_after_space(capsys):
+    head = ["gamma", "--R", "1", "--q1", "0.3,0.1"]
+    code, doc, err = run_cli(capsys, *head, "--q2", "-0.2,0.4", "--t", "-0.5")
+    assert code == 0, err
+    assert doc["inputs"]["q2"] == [-0.2, 0.4]
+    assert (code, doc) == run_cli(capsys, *head, "--q2=-0.2,0.4", "--t", "-0.5")[:2]
 
 
 def test_squeeze_report(capsys):

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -12,11 +13,11 @@ from cck.equivariant import (
     ext_trivial,
     lens_cohomology,
     point_equivariant_cohomology,
+    generator_matrix,
     resolution_maps,
-    yoneda_degree,
 )
 from cck.errors import InvalidInput, NonFreeAction
-from cck.fp import FpMatrix
+from cck.fp import FpMatrix, cochain_cohomology_dims, restricted_map
 
 PRIMES = (3, 5, 7, 11)
 
@@ -67,17 +68,6 @@ def test_ext_unbounded_pattern():
 def test_ext_two_periodic(N):
     for d in range(8):
         assert ext_trivial(N, d) == ext_trivial(N, d + 2)
-
-
-def test_yoneda_degree_additivity():
-    assert yoneda_degree(0, 7) == 7
-    assert yoneda_degree(2, 3) == 5
-    assert yoneda_degree(6, 4) == 10
-
-
-@given(st.integers(min_value=0, max_value=1000), st.integers(min_value=0, max_value=1000))
-def test_yoneda_degree_is_addition(d1, d2):
-    assert yoneda_degree(d1, d2) == d1 + d2
 
 
 def test_lens_two_weights():
@@ -175,3 +165,56 @@ def test_fp_matrix_kernel():
     assert len(basis) == 2
     for v in basis:
         assert m.apply(v) == (0, 0)
+
+
+def _dense_power_minus_one(N, w):
+    """g^w - 1 on the regular representation, from powers of generator_matrix."""
+    g = generator_matrix(N)
+    power = FpMatrix.identity(N, N)
+    for _ in range(w % N):
+        power = g @ power
+    return FpMatrix.from_rows(
+        [[x - int(i == j) for j, x in enumerate(row)] for i, row in enumerate(power.entries)], N
+    )
+
+
+def _dense_hom_dims(differentials, N):
+    """Reference hom-complex cohomology: the invariant functionals are the
+    kernel of (g - 1)^T, and each cochain map is a transposed differential
+    restricted to them."""
+    tminus1, _ = resolution_maps(N)
+    basis = tminus1.transpose().kernel_basis()
+    deltas = [restricted_map(d.transpose(), basis, basis) for d in differentials]
+    return cochain_cohomology_dims(deltas, [len(basis)] * (len(differentials) + 1))
+
+
+def _unit_weight_tuples(N):
+    """Every tuple of length 1 and 2, and a fixed sample of lengths 3 and 4."""
+    units = range(1, N)
+    rng = random.Random(N)
+    for length in (1, 2):
+        yield from itertools.product(units, repeat=length)
+    for length in (3, 4):
+        for _ in range(12):
+            yield tuple(rng.choice(units) for _ in range(length))
+
+
+@pytest.mark.parametrize("N", (5, 7, 11))
+def test_lens_and_point_match_dense_reference(N):
+    tminus1, norm = resolution_maps(N)
+    shifts = {w: _dense_power_minus_one(N, w) for w in range(1, N)}
+    assert shifts[1] == tminus1
+    for weights in _unit_weight_tuples(N):
+        d = len(weights)
+        differentials = [shifts[weights[i // 2]] if i % 2 == 0 else norm for i in range(2 * d - 1)]
+        dense = _dense_hom_dims(differentials, N)
+        graded = lens_cohomology(LensData(N, weights))
+        assert graded.dims == {i: x for i, x in enumerate(dense) if x}, weights
+        assert graded.top == 2 * d - 1
+    for max_degree in (0, 1, 2, 7, 12):
+        periodic = [tminus1 if i % 2 == 0 else norm for i in range(max_degree)]
+        dense = _dense_hom_dims(periodic, N)
+        graded = point_equivariant_cohomology(N, max_degree)
+        assert graded.dims == {i: x for i, x in enumerate(dense) if x}
+        assert not graded.bounded
+        assert [ext_trivial(N, i) for i in range(max_degree + 1)] == dense

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cck import projector_geometry
 from cck.errors import OutsideDomain
 from cck.projector_geometry import (
     BlockQuery,
@@ -152,6 +153,22 @@ def test_sigma_membership_agrees_with_grid_oracle():
         query = BlockQuery(R, q1, q2, t)
         assert sigma_membership(query) == sigma_membership_grid(query)
         checked += 1
+
+
+@pytest.mark.parametrize(
+    "profile, member",
+    [
+        ([0.0, 0.0, 1.0, 1.0], False),  # run touching the open left end only
+        ([0.0, 1.0, 0.0, 1.0], True),  # left-end run plus a later run
+        ([0.0, 0.0, 0.0, 0.0], False),  # all sublevel: one run from the left end
+        ([1.0, 1.0, 1.0, 1.0], False),  # empty sublevel set
+    ],
+)
+def test_sigma_membership_grid_runs(monkeypatch, profile, member):
+    monkeypatch.setattr(
+        projector_geometry, "action_profile", lambda R, q1, q2, a: np.array(profile)
+    )
+    assert sigma_membership_grid(BlockQuery(1.0, [0.0], [0.0], 0.5), grid_points=4) is member
 
 
 def test_case_one_limits_to_equal_endpoint_case():
