@@ -28,6 +28,7 @@ from .errors import (
     NonStationary,
     NoWitnessBelowLimit,
     OutsideDomain,
+    OverBudget,
     SingularAngle,
 )
 
@@ -56,5 +57,6 @@ __all__ = [
     "NonStationary",
     "NoWitnessBelowLimit",
     "OutsideDomain",
+    "OverBudget",
     "SingularAngle",
 ]

@@ -7,7 +7,9 @@ and keeps diagnostics on stderr.  Report schema:
      "checks": [{"name": ..., "passed": ..., "residual": ..., "tolerance": ...}]}
 
 Exit codes: 0 success (certificate: Obstructed), 2 certificate regime
-mismatch / NoObstruction, 1 domain error, 64 usage error.
+mismatch / NoObstruction, 3 the report was printed but one of its checks
+failed, 1 domain error (including an input over a stated budget), 64
+usage error.
 
 The default tolerance for numeric checks is 1e-9 (finite-difference
 contact checks use 1e-4); the CCK_TOL environment variable overrides the
@@ -34,6 +36,7 @@ from .errors import CckError, InvalidCapacities
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NO_OBSTRUCTION = 2
+EXIT_CHECK_FAILED = 3
 EXIT_USAGE = 64
 
 DEFAULT_TOL = 1e-9
@@ -91,9 +94,13 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
 
-def _emit(report: dict) -> None:
+def _emit(report: dict, code: int = EXIT_OK) -> int:
+    """Print the report; return code, or EXIT_CHECK_FAILED if any check failed."""
     json.dump(report, sys.stdout, default=_json_default)
     sys.stdout.write("\n")
+    if any(not check["passed"] for check in report["checks"]):
+        return EXIT_CHECK_FAILED
+    return code
 
 
 def _check(name: str, residual: float, tolerance: float) -> dict:
@@ -229,8 +236,7 @@ def cmd_certificate(args) -> int:
                 _check("degree_drop", max(0, cert.deg_R - cert.deg_r + 1), 0),
             ],
         }
-        _emit(report)
-        return EXIT_OK
+        return _emit(report)
     report = {
         "command": "certificate",
         "inputs": inputs,
@@ -246,8 +252,7 @@ def cmd_certificate(args) -> int:
         },
         "checks": [],
     }
-    _emit(report)
-    return EXIT_NO_OBSTRUCTION
+    return _emit(report, EXIT_NO_OBSTRUCTION)
 
 
 def cmd_spectrum(args) -> int:
@@ -259,8 +264,9 @@ def cmd_spectrum(args) -> int:
     M = args.M if args.M is not None else N
     A = args.A if args.A is not None else spectrum.substituted_flow_parameter(N, args.T, args.c)
     form = spectrum.CirculantActionForm(n=args.n, N=N, M=M, A=A)
+    matrix = spectrum.build_action_matrix(form)  # checks the size budget first
     analytic = spectrum.analytic_eigenvalues(form)
-    numeric = spectrum.numeric_eigenvalues(spectrum.build_action_matrix(form))
+    numeric = spectrum.numeric_eigenvalues(matrix)
     deviation = float(np.max(np.abs(np.sort(analytic) - numeric)))
     if have_substitution:
         index = spectrum.positive_index(args.n, N, M, args.T, args.c)
@@ -296,8 +302,7 @@ def cmd_spectrum(args) -> int:
         },
         "checks": checks,
     }
-    _emit(report)
-    return EXIT_OK
+    return _emit(report)
 
 
 def cmd_gamma(args) -> int:
@@ -335,8 +340,7 @@ def cmd_gamma(args) -> int:
         "outputs": outputs,
         "checks": checks,
     }
-    _emit(report)
-    return EXIT_OK
+    return _emit(report)
 
 
 def cmd_squeeze(args) -> int:
@@ -368,8 +372,7 @@ def cmd_squeeze(args) -> int:
         },
         "checks": checks,
     }
-    _emit(report)
-    return EXIT_OK
+    return _emit(report)
 
 
 def cmd_ext(args) -> int:
@@ -397,8 +400,7 @@ def cmd_ext(args) -> int:
         "outputs": outputs,
         "checks": [],
     }
-    _emit(report)
-    return EXIT_OK
+    return _emit(report)
 
 
 def main(argv=None) -> int:

@@ -20,7 +20,32 @@ class OutsideDomain(CckError):
 
 
 class NoConvergence(CckError):
-    """The iterative eigensolver exhausted its sweep limit."""
+    """The Jacobi eigensolver failed on a size x size matrix.
+
+    Either its sweeps ran out, with the off-diagonal Frobenius norm
+    ``off_norm`` still above ``bound`` after ``sweeps`` sweeps, or an
+    eigenpair ``residual`` exceeded ``bound``.  The attributes of the
+    other case are None.
+    """
+
+    def __init__(self, size, bound, *, sweeps=None, off_norm=None, residual=None):
+        self.size = size
+        self.bound = bound
+        self.sweeps = sweeps
+        self.off_norm = off_norm
+        self.residual = residual
+        if residual is None:
+            message = (
+                f"Jacobi sweeps exhausted on a {size} x {size} matrix: after {sweeps} sweeps "
+                f"the off-diagonal norm {off_norm:.3e} is {off_norm / bound:.3g} x the bound {bound:.3e}"
+            )
+        else:
+            message = f"eigenpair residual {residual:.3e} above {bound:.3e} on a {size} x {size} matrix"
+        super().__init__(message)
+
+
+class OverBudget(CckError):
+    """The input needs more work or memory than the stated budget allows."""
 
 
 class NonFreeAction(CckError):

@@ -1,3 +1,4 @@
+import functools
 import json
 
 import numpy as np
@@ -90,6 +91,7 @@ def test_spectrum_index_check_counts_numeric_eigenvalues(capsys, monkeypatch):
 
     monkeypatch.setattr(spectrum, "numeric_eigenvalues", flip_positive_pair)
     code, doc, _ = run_cli(capsys, *argv)
+    assert code == 3
     assert doc["checks"][1]["name"] == "index_vs_eigenvalue_count"
     assert doc["checks"][1]["passed"] is False
 
@@ -98,6 +100,37 @@ def test_spectrum_singular_flow(capsys):
     code, doc, err = run_cli(capsys, "spectrum", "--N", "5", "--M", "5", "--A", "0")
     assert code == 1
     assert "SingularAngle" in err
+
+
+def test_spectrum_failed_check_exits_3(capsys):
+    code, doc, _ = run_cli(capsys, "--tol", "1e-30", "spectrum", "--N", "5", "--A", "-0.5")
+    assert code == 3
+    assert doc["checks"][0]["name"] == "analytic_vs_numeric"
+    assert doc["checks"][0]["passed"] is False
+
+
+def test_spectrum_zero_capacity_is_domain_error(capsys):
+    code, doc, err = run_cli(capsys, "spectrum", "--N", "5", "--T", "1", "--c", "0")
+    assert code == 1
+    assert doc is None
+    assert "T and c must be positive" in err and "Traceback" not in err
+
+
+def test_spectrum_over_size_budget(capsys):
+    code, doc, err = run_cli(capsys, "spectrum", "--N", "1009", "--A", "-0.1")
+    assert code == 1
+    assert doc is None
+    assert "OverBudget" in err
+    assert "MN = 1018081" in err and str(spectrum.MAX_ACTION_SIZE) in err
+
+
+def test_spectrum_no_convergence_reports_state(capsys, monkeypatch):
+    one_sweep = functools.partial(spectrum.jacobi_eigensystem, sweep_limit=1)
+    monkeypatch.setattr(spectrum, "jacobi_eigensystem", one_sweep)
+    code, doc, err = run_cli(capsys, "spectrum", "--N", "5", "--A", "-0.5")
+    assert code == 1
+    assert doc is None
+    assert "NoConvergence" in err and "25 x 25" in err and "after 1 sweeps" in err
 
 
 def test_spectrum_needs_parameters(capsys):
@@ -182,7 +215,7 @@ def test_reports_round_trip(capsys):
 def test_tolerance_env_override(capsys, monkeypatch):
     monkeypatch.setenv("CCK_TOL", "1e-30")
     code, doc, _ = run_cli(capsys, "squeeze", "--N", "1", "--R", "1")
-    assert code == 0
+    assert code == 3
     assert doc["checks"][0]["tolerance"] == 1e-30
     assert doc["checks"][0]["passed"] is False
     monkeypatch.setenv("CCK_TOL", "0.5")

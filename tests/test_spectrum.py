@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -6,10 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cck.errors import NoConvergence, SingularAngle
+from cck import spectrum
+from cck.errors import NoConvergence, OverBudget, SingularAngle
 from cck.hamflow import gen_fn_qq
 from cck.spectrum import (
+    MAX_ACTION_SIZE,
     CirculantActionForm,
+    _round_robin,
     analytic_eigenvalues,
     build_action_matrix,
     cyclic_weights,
@@ -191,8 +195,91 @@ def test_jacobi_handles_degenerate_spectra():
 
 def test_jacobi_sweep_limit_raises():
     form = CirculantActionForm(n=1, N=5, M=5, A=-0.5)
-    with pytest.raises(NoConvergence):
+    with pytest.raises(NoConvergence) as info:
         jacobi_eigensystem(build_action_matrix(form), sweep_limit=1)
+    err = info.value
+    assert (err.sweeps, err.size, err.residual) == (1, 25, None)
+    assert err.off_norm > err.bound > 0.0
+    assert "after 1 sweeps" in str(err)
+    assert f"{err.off_norm:.3e}" in str(err) and f"{err.bound:.3e}" in str(err)
+
+
+def test_residual_failure_reports_its_state(monkeypatch):
+    # eigenvalues right, eigenvectors wrong: residual 1 per column
+    monkeypatch.setattr(spectrum, "jacobi_eigensystem", lambda m: (np.array([1.0, 2.0]), np.eye(2)))
+    with pytest.raises(NoConvergence) as info:
+        numeric_eigenvalues(np.array([[1.0, 1.0], [1.0, 2.0]]))
+    err = info.value
+    assert err.residual == pytest.approx(1.0)
+    assert err.bound == pytest.approx(1e-9 * math.sqrt(7.0))
+    assert (err.sweeps, err.off_norm, err.size) == (None, None, 2)
+    assert f"{err.residual:.3e}" in str(err) and f"{err.bound:.3e}" in str(err)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_jacobi_every_small_size(n):
+    # the round-robin schedule: n - 1 rounds (n for odd n, padded with a
+    # dummy index), floor(n/2) disjoint pairs each, every pair once a sweep
+    rounds = _round_robin(n)
+    assert len(rounds) == n - 1 + n % 2
+    seen = []
+    for p, q, pq in rounds:
+        assert len(p) == n // 2 and np.all(p < q)
+        assert len(set(pq.tolist())) == 2 * (n // 2)
+        seen += list(zip(p.tolist(), q.tolist()))
+    assert sorted(seen) == [(p, q) for p in range(n) for q in range(p + 1, n)]
+    B = np.random.default_rng(30 + n).normal(size=(n, n))
+    B = (B + B.T) / 2
+    w, V = jacobi_eigensystem(B)
+    assert float(np.max(np.linalg.norm(B @ V - V * w, axis=0))) < 1e-9
+    assert np.allclose(np.sort(w), np.linalg.eigvalsh(B), atol=1e-10)
+    assert np.allclose(V.T @ V, np.eye(n), atol=1e-12)
+
+
+def test_jacobi_skips_pairs_already_zero():
+    # zero two pairs of the first round; (p1, q1) also gets equal diagonal
+    # entries, so both its h and its apq are 0
+    B = np.random.default_rng(25).normal(size=(8, 8))
+    B = (B + B.T) / 2
+    p, q, _ = _round_robin(8)[0]
+    for a, b in zip(p[:2], q[:2]):
+        B[a, b] = B[b, a] = 0.0
+    B[q[1], q[1]] = B[p[1], p[1]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w, V = jacobi_eigensystem(B)
+    assert float(np.max(np.linalg.norm(B @ V - V * w, axis=0))) < 1e-9
+    assert np.allclose(np.sort(w), np.linalg.eigvalsh(B), atol=1e-10)
+
+
+@pytest.mark.parametrize(("N", "M", "samples"), ((7, 7, 3), (11, 5, 3), (11, 11, 1)))
+def test_jacobi_matches_closed_form_across_shapes(N, M, samples):
+    rng = np.random.default_rng(N * M)
+    worst_dev = worst_resid = 0.0
+    for _ in range(samples):
+        phi = -float(rng.uniform(0.02, 0.98)) * math.pi / 2.0
+        form = CirculantActionForm(n=1, N=N, M=M, A=phi * M / 2.0)
+        C = build_action_matrix(form)
+        w, V = jacobi_eigensystem(C)
+        worst_dev = max(worst_dev, float(np.max(np.abs(np.sort(w) - np.sort(analytic_eigenvalues(form))))))
+        worst_resid = max(worst_resid, float(np.max(np.linalg.norm(C @ V - V * w, axis=0))))
+    assert worst_dev < 1e-9, f"multiset deviation {worst_dev:.2e}"
+    assert worst_resid < 1e-9, f"eigenpair residual {worst_resid:.2e}"
+
+
+def test_action_matrix_size_budget():
+    largest = CirculantActionForm(n=1, N=17, M=17, A=-0.1)
+    assert largest.size == MAX_ACTION_SIZE
+    assert build_action_matrix(largest).shape == (MAX_ACTION_SIZE, MAX_ACTION_SIZE)
+    for form in (CirculantActionForm(n=1, N=5, M=59, A=-0.1), CirculantActionForm(n=1, N=1009, A=-0.1)):
+        with pytest.raises(OverBudget, match=f"MN = {form.size} .* {MAX_ACTION_SIZE}"):
+            build_action_matrix(form)
+
+
+def test_substituted_flow_parameter_rejects_zero_capacity():
+    for N, T, c in ((5, 1, 0), (5, 0, 1), (5, -1, 2), (0, 1, 1)):
+        with pytest.raises(ValueError, match="positive"):
+            substituted_flow_parameter(N, T, c)
 
 
 def test_form_validation():
