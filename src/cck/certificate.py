@@ -172,20 +172,18 @@ def find_witness_prime(c_r, c_R, limit: int = DEFAULT_WITNESS_LIMIT) -> int:
     )
 
 
-def _certify_lens_side(n: int, N: int, c: Fraction) -> tuple[int, list[int]]:
-    """Free-action data for one capacity: positive index and unit weights.
+def _certify_lens_side(n: int, N: int, c: Fraction) -> int:
+    """Free-action data for one capacity: the positive index.
 
     Builds the lens cohomology of the weighted sphere quotient and the
     unbounded fixed-point profile, checks that both are one-dimensional
-    in every computed degree, and runs the dichotomy; returns the index
-    and weights after re-verifying freeness.  Raises InvalidInput when a
-    computed profile differs from the expected one.
+    in every computed degree, and runs the dichotomy; returns the index.
+    Freeness follows from the computed Euler class: a weight 0 mod N
+    makes lens_cohomology raise NonFreeAction.  Raises InvalidInput when
+    a computed profile differs from the expected one.
     """
     index = math.ceil(Fraction(N) / c) - 1
     weights = spectrum.cyclic_weights(n, index, N)
-    for w in weights:
-        if w % N == 0:
-            raise InvalidCapacities(f"weight {w} not a unit mod {N}; capacity {c} too small")
     if index > 0:
         bounded = equivariant.lens_cohomology(equivariant.LensData(N, tuple(weights)))
     else:
@@ -198,7 +196,7 @@ def _certify_lens_side(n: int, N: int, c: Fraction) -> tuple[int, list[int]]:
     if unbounded.dims != dict.fromkeys(range(depth + 1), 1) or unbounded.bounded:
         raise InvalidInput(f"point profile is not one-dimensional and unbounded in 0..{depth}")
     equivariant.boundedness_dichotomy(bounded, unbounded)
-    return index, weights
+    return index
 
 
 def nonsqueezing_certificate(
@@ -225,8 +223,8 @@ def nonsqueezing_certificate(
     ceil_r = math.ceil(Fraction(N) / c_r)
     deg_R = restriction_degree(n, N, c_R)
     deg_r = restriction_degree(n, N, c_r)
-    idx_R, _ = _certify_lens_side(n, N, c_R)
-    idx_r, _ = _certify_lens_side(n, N, c_r)
+    idx_R = _certify_lens_side(n, N, c_R)
+    idx_r = _certify_lens_side(n, N, c_r)
     trace = (
         f"witness prime N = {N} (search limit {limit}): "
         f"ceil(N/c_R) = {ceil_R} < {ceil_r} = ceil(N/c_r); "

@@ -9,7 +9,8 @@ and keeps diagnostics on stderr.  Report schema:
 Exit codes: 0 success (certificate: Obstructed), 2 certificate regime
 mismatch / NoObstruction, 3 the report was printed but one of its checks
 failed, 1 domain error (including an input over a stated budget), 64
-usage error.
+usage error (including a malformed rational or a non-finite number).
+Reports are strict JSON: a NaN or infinity is never printed.
 
 The default tolerance for numeric checks is 1e-9 (finite-difference
 contact checks use 1e-4); the CCK_TOL environment variable overrides the
@@ -31,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import certificate, equivariant, hamflow, projector_geometry, spectrum
-from .errors import CckError, InvalidCapacities
+from .errors import CckError, InvalidCapacities, OverBudget
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -42,6 +43,11 @@ EXIT_USAGE = 64
 DEFAULT_TOL = 1e-9
 CONTACT_TOL = 1e-4
 GRID_TOL = 1e-6
+
+# Budgets: a larger input fails with OverBudget (exit 1) before any work.
+MAX_EXT_DEGREE = 10_000  # cck ext --max-degree: ~0.1 MB of report
+MAX_SPECTRUM_N = 100  # cck spectrum --n: the report lists n weights per positive pair
+MAX_SQUEEZE_SAMPLES = 10_000  # cck squeeze --samples: ~1 s of contact checks
 
 
 class UsageError(Exception):
@@ -63,18 +69,30 @@ class Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _rational(text: str) -> Fraction:
+def _rational(flag: str):
+    """argparse type for an exact rational; a malformed value is a usage error naming flag."""
+
+    def parse(text: str) -> Fraction:
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise UsageError(f"{flag} is not a rational: {text!r}") from exc
+
+    return parse
+
+
+def _finite(text: str) -> float:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
 
 
 def _vector(text: str) -> list[float]:
-    try:
-        return [float(part) for part in text.split(",")]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not a comma-separated vector: {text!r}") from exc
+    return [_finite(part) for part in text.split(",")]
 
 
 def _weights(text: str) -> list[int]:
@@ -95,9 +113,13 @@ def _json_default(obj):
 
 
 def _emit(report: dict, code: int = EXIT_OK) -> int:
-    """Print the report; return code, or EXIT_CHECK_FAILED if any check failed."""
-    json.dump(report, sys.stdout, default=_json_default)
-    sys.stdout.write("\n")
+    """Print the report; return code, or EXIT_CHECK_FAILED if any check failed.
+
+    The whole document is serialized before anything is written, so a
+    non-finite value raises ValueError (exit 1) with stdout left empty.
+    """
+    text = json.dumps(report, default=_json_default, allow_nan=False)
+    sys.stdout.write(text + "\n")
     if any(not check["passed"] for check in report["checks"]):
         return EXIT_CHECK_FAILED
     return code
@@ -112,27 +134,38 @@ def _check(name: str, residual: float, tolerance: float) -> dict:
     }
 
 
+def _within_budget(flag: str, value: int, budget: int) -> None:
+    if value > budget:
+        raise OverBudget(f"{flag} {value} is above its budget of {budget}")
+
+
 def _tol(args, fallback: float) -> float:
     if args.tol is not None:
         return args.tol
     env = os.environ.get("CCK_TOL")
     if env:
         try:
-            return float(env)
-        except ValueError:
+            return _finite(env)
+        except argparse.ArgumentTypeError:
             print(f"ignoring malformed CCK_TOL={env!r}", file=sys.stderr)
     return fallback
 
 
 def build_parser() -> Parser:
     parser = Parser(prog="cck", description=__doc__.splitlines()[0])
-    parser.add_argument("--tol", type=float, default=None, help="tolerance for numeric checks")
+    parser.add_argument("--tol", type=_finite, default=None, help="tolerance for numeric checks")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("certificate", help="emit a non-squeezing certificate")
     p.add_argument("--n", type=int, default=1, help="complex dimension of the ball factor")
-    p.add_argument("--cr", required=True, help="inner capacity (rational, or radius with --from-radius)")
-    p.add_argument("--cR", required=True, help="outer capacity (rational, or radius with --from-radius)")
+    p.add_argument(
+        "--cr", type=_rational("--cr"), required=True,
+        help="inner capacity (rational, or radius with --from-radius)",
+    )
+    p.add_argument(
+        "--cR", type=_rational("--cR"), required=True,
+        help="outer capacity (rational, or radius with --from-radius)",
+    )
     p.add_argument("--limit", type=int, default=certificate.DEFAULT_WITNESS_LIMIT)
     p.add_argument(
         "--from-radius",
@@ -145,22 +178,22 @@ def build_parser() -> Parser:
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--M", type=int, default=None)
-    p.add_argument("--A", type=float, default=None, help="flow parameter (negative)")
-    p.add_argument("--T", type=_rational, default=None, help="window width (rational)")
-    p.add_argument("--c", type=_rational, default=None, help="capacity pi R^2 (rational)")
+    p.add_argument("--A", type=_finite, default=None, help="flow parameter (negative)")
+    p.add_argument("--T", type=_rational("--T"), default=None, help="window width (rational)")
+    p.add_argument("--c", type=_rational("--c"), default=None, help="capacity pi R^2 (rational)")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("gamma", help="projector block geometry")
-    p.add_argument("--R", type=float, required=True)
+    p.add_argument("--R", type=_finite, required=True)
     p.add_argument("--q1", type=_vector, required=True)
     p.add_argument("--q2", type=_vector, required=True)
-    p.add_argument("--t", type=float, required=True)
+    p.add_argument("--t", type=_finite, required=True)
     p.add_argument("--grid", action="store_true", help="cross-check against the grid oracle")
     p.set_defaults(func=cmd_gamma)
 
     p = sub.add_parser("squeeze", help="squeeze map: image size and contact check")
     p.add_argument("--N", type=int, required=True)
-    p.add_argument("--R", type=float, required=True, help="ball size pi r^2")
+    p.add_argument("--R", type=_finite, required=True, help="ball size pi r^2")
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_squeeze)
@@ -173,18 +206,11 @@ def build_parser() -> Parser:
     return parser
 
 
-def _parse_rational(name: str, text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"--{name} is not a rational: {text!r}") from exc
-
-
 def _capacities(args) -> tuple[Fraction, Fraction]:
     if args.from_radius:
         caps = []
-        for name, text in (("cr", args.cr), ("cR", args.cR)):
-            r = float(_parse_rational(name, text))
+        for name, value in (("cr", args.cr), ("cR", args.cR)):
+            r = float(value)
             if r <= 0:
                 raise InvalidCapacities(f"radius --{name} must be positive")
             c = Fraction(f"{math.pi * r * r:.12g}")
@@ -194,10 +220,7 @@ def _capacities(args) -> tuple[Fraction, Fraction]:
             )
             caps.append(c)
         return caps[0], caps[1]
-    return (
-        certificate.as_capacity(_parse_rational("cr", args.cr)),
-        certificate.as_capacity(_parse_rational("cR", args.cR)),
-    )
+    return certificate.as_capacity(args.cr), certificate.as_capacity(args.cR)
 
 
 def cmd_certificate(args) -> int:
@@ -256,6 +279,7 @@ def cmd_certificate(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    _within_budget("--n", args.n, MAX_SPECTRUM_N)
     tol = _tol(args, DEFAULT_TOL)
     have_substitution = args.T is not None and args.c is not None
     if args.A is None and not have_substitution:
@@ -344,6 +368,9 @@ def cmd_gamma(args) -> int:
 
 
 def cmd_squeeze(args) -> int:
+    _within_budget("--samples", args.samples, MAX_SQUEEZE_SAMPLES)
+    if args.samples < 1:
+        raise ValueError("--samples must be >= 1")
     tol = _tol(args, CONTACT_TOL)
     if args.R <= 0:
         raise InvalidCapacities("--R must be positive")
@@ -360,7 +387,7 @@ def cmd_squeeze(args) -> int:
     result = hamflow.contact_check(args.N, samples)
     checks = [
         _check("contact_pullback", result.deviation, tol),
-        _check("conformal_positive", 0.0 if result.min_conformal > 0 else math.inf, 0),
+        _check("conformal_positive", 0.0 if result.min_conformal > 0 else 1.0, 0),
     ]
     report = {
         "command": "squeeze",
@@ -376,24 +403,18 @@ def cmd_squeeze(args) -> int:
 
 
 def cmd_ext(args) -> int:
+    _within_budget("--max-degree", args.max_degree, MAX_EXT_DEGREE)
     if args.lens is not None:
         graded = equivariant.lens_cohomology(equivariant.LensData(args.N, tuple(args.lens)))
-        outputs = {
-            "kind": "lens",
-            "weights": args.lens,
-            "dims": {str(k): v for k, v in sorted(graded.dims.items())},
-            "top": graded.top,
-            "bounded": graded.bounded,
-        }
     else:
         graded = equivariant.point_equivariant_cohomology(args.N, args.max_degree)
-        outputs = {
-            "kind": "point",
-            "weights": None,
-            "dims": {str(k): v for k, v in sorted(graded.dims.items())},
-            "top": graded.top,
-            "bounded": graded.bounded,
-        }
+    outputs = {
+        "kind": "point" if args.lens is None else "lens",
+        "weights": args.lens,
+        "dims": {str(k): v for k, v in sorted(graded.dims.items())},
+        "top": graded.top,
+        "bounded": graded.bounded,
+    }
     report = {
         "command": "ext",
         "inputs": {"N": args.N, "lens": args.lens, "max_degree": args.max_degree},

@@ -1,40 +1,37 @@
-"""Homological algebra over the group ring F_N[Z/N].
+"""Cyclic group cohomology over F_N, lens spaces and the boundedness dichotomy.
 
-The trivial module has the 2-periodic free resolution
+For G = Z/N, N an odd prime, H*(BG; F_N) = F_N[u] (x) Lambda[x] is
+one-dimensional in every degree: that is Ext between trivial
+F_N[G]-modules, and the unbounded profile of the point.  A weighted
+rotation action on the sphere S(V), V = L_(w_1) + ... + L_(w_d), gets
+its equivariant cohomology from the Gysin sequence of S(V) -> BG, in
+which the Euler class e(V) = (prod w_i mod N) u^d acts between lines
+as one scalar, at O(1) per degree.  A nonzero scalar gives dimension 1
+in degrees 0..2d-1 and 0 above (the bounded lens profile of a free
+action); a zero one, from a weight 0 mod N, gives dimension 2 from
+degree 2d-1 on.  The dichotomy between a bounded and an unbounded
+profile is the contradiction engine of the certificate.
 
-    ... -> F_N[G] --norm--> F_N[G] --(g-1)--> F_N[G] --aug--> F_N -> 0
-
-with norm = 1 + g + ... + g^(N-1); applying module homs into the
-trivial module kills every differential, so Ext^i is one-dimensional in
-every degree i >= 0.  The same machinery computes the F_N cohomology of
-the quotient of an odd sphere by a free weighted rotation action: the
-equivariant cell complex has one free module in each degree 0..2d-1
-(d = number of weights), odd differentials multiply by (g^w - 1) with
-the weight of the corresponding complex coordinate and even ones by the
-norm.  Its hom-complex into the trivial module has one-dimensional
-cohomology in every degree up to the top; the point with trivial action
-yields the same dimensions in every degree without bound, and the
-mechanized dichotomy between the two behaviours is the contradiction
-engine of the certificate.
-
-Every differential is multiplication by a group-ring element, g^w - 1 or
-the norm, kept as its N coefficients.  hom_G(F_N[G], F_N) is the line of
-constant functionals, so each cochain map is the 1 x 1 matrix of the
-element's augmentation mod N, and the cohomology comes from exact ranks
-of those.  No N x N matrix is built on this path; the dense regular
-representation (generator_matrix, resolution_maps) is kept as the
-reference the tests compare against.
+This is the production path, and it builds no matrix.  The dense route
+on the N x N regular representation (generator_matrix, resolution_maps,
+and cck.fp), with the 2-periodic resolution ... -> F_N[G] --norm-->
+F_N[G] --(g-1)--> F_N[G] --aug--> F_N -> 0, is the reference the tests
+compare against.
 """
 
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .errors import InvalidInput, NonFreeAction
-from .fp import FpMatrix, cochain_cohomology_dims
+from .fp import FpMatrix
 from .primes import is_prime
+
+
+def _require_odd_prime(N: int) -> None:
+    if not is_prime(N) or N == 2:
+        raise ValueError("N must be an odd prime")
 
 
 @dataclass
@@ -58,13 +55,6 @@ class GradedFpVector:
     def bounded(self) -> bool:
         return self.top is not None
 
-    def dim(self, degree: int) -> int:
-        return self.dims.get(degree, 0)
-
-    @property
-    def total_dim(self) -> int:
-        return sum(self.dims.values())
-
 
 @dataclass(frozen=True)
 class LensData:
@@ -75,8 +65,7 @@ class LensData:
 
     def __post_init__(self):
         object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
-        if self.N <= 2 or not is_prime(self.N):
-            raise ValueError("N must be an odd prime")
+        _require_odd_prime(self.N)
 
 
 class Dichotomy(enum.Enum):
@@ -95,11 +84,9 @@ def resolution_maps(N: int) -> tuple[FpMatrix, FpMatrix]:
 
     rank(g - 1) = N - 1 and rank(norm) = 1, and the two compose to zero
     in both orders: the 2-periodic resolution of the trivial module.
-    This dense view is the reference the group-ring path is tested
-    against.
+    This dense view is the reference the Gysin path is tested against.
     """
-    if not is_prime(N) or N == 2:
-        raise ValueError("N must be an odd prime")
+    _require_odd_prime(N)
     g = generator_matrix(N)
     tminus1 = FpMatrix.from_rows(
         [[x - int(i == j) for j, x in enumerate(row)] for i, row in enumerate(g.entries)], N
@@ -108,70 +95,59 @@ def resolution_maps(N: int) -> tuple[FpMatrix, FpMatrix]:
     return tminus1, norm
 
 
-def _shift_minus_one(N: int, w: int) -> tuple[int, ...]:
-    """g^w - 1 in F_N[Z/N], as the coefficients of 1, g, ..., g^(N-1)."""
-    coeffs = [0] * N
-    coeffs[0] = N - 1
-    coeffs[w % N] = (coeffs[w % N] + 1) % N
-    return tuple(coeffs)
+def _gysin_dims(N: int, weights: tuple[int, ...], max_degree: int) -> list[int]:
+    """dim H^k_G(S(V); F_N) for k = 0..max_degree, from the Gysin sequence.
 
+    V is the sum of the lines of the given weights, d = len(weights), and
+    multiplication by the Euler class e(V) = (prod w_i) u^d maps H^j(BG)
+    to H^(j+2d), both one-dimensional for j >= 0, by the scalar
+    prod w_i mod N.  The exact sequence
 
-def _norm(N: int) -> tuple[int, ...]:
-    """1 + g + ... + g^(N-1) in F_N[Z/N]."""
-    return (1,) * N
+        H^(k-2d)(BG) -e-> H^k(BG) -> H^k_G(S(V)) -> H^(k-2d+1)(BG) -e-> H^(k+1)(BG)
 
-
-def _hom_complex_dims(differentials: Iterable[tuple[int, ...]], N: int) -> list[int]:
-    """H^0..H^m of hom_G(C_., F_N) for a complex of free rank-one modules.
-
-    The i-th element of differentials (from 1) is the group-ring element
-    by which C_i -> C_(i-1) multiplies; an iterator keeps only one of them
-    in memory at a time.  hom_G(F_N[G], F_N) is the line of constant
-    functionals, and precomposing one with multiplication by x scales it
-    by the augmentation of x, so every cochain map is that 1 x 1 matrix.
+    gives dim coker(e on H^(k-2d)) + dim ker(e on H^(k-2d+1)).
     """
-    deltas = [FpMatrix.from_rows([[sum(x)]], N) for x in differentials]
-    return cochain_cohomology_dims(deltas, [1] * (len(deltas) + 1))
-
-
-def _periodic_differentials(N: int, count: int) -> list[tuple[int, ...]]:
-    if not is_prime(N) or N == 2:
-        raise ValueError("N must be an odd prime")
-    tminus1, norm = _shift_minus_one(N, 1), _norm(N)
-    return [tminus1 if i % 2 == 1 else norm for i in range(1, count + 1)]
+    e = 1
+    for w in weights:
+        e = e * w % N
+    shift = 2 * len(weights)
+    # e is injective from the line H^j(BG), j >= 0, exactly when the scalar is nonzero
+    return [
+        (0 if e and k >= shift else 1)  # coker of e: H^(k-2d) -> H^k
+        + (1 if not e and k >= shift - 1 else 0)  # ker of e on H^(k-2d+1)
+        for k in range(max_degree + 1)
+    ]
 
 
 def ext_trivial(N: int, degree: int) -> int:
-    """dim Ext^degree between trivial F_N[Z/N]-modules; equals 1 for all degrees."""
+    """dim Ext^degree between trivial F_N[Z/N]-modules: H^degree(BZ/N; F_N) = 1."""
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    dims = _hom_complex_dims(_periodic_differentials(N, degree + 1), N)
-    return dims[degree]
+    _require_odd_prime(N)
+    return 1
 
 
 def lens_cohomology(lens: LensData) -> GradedFpVector:
     """F_N cohomology of the quotient of the free weighted sphere action.
 
-    For d weights the sphere has dimension 2d - 1 and the result is
-    one-dimensional in every degree 0..2d-1, zero above: bounded with
-    top = 2d - 1.  Raises NonFreeAction when a weight is 0 mod N (the
-    action fixes a subsphere and the quotient is not a manifold of this
-    shape).
+    For d weights the sphere has dimension 2d - 1 and, when the Euler
+    class is nonzero, the result is one-dimensional in every degree
+    0..2d-1 and zero above: bounded with top = 2d - 1.  Raises
+    NonFreeAction when the computed profile is unbounded, which happens
+    exactly when a weight is 0 mod N: the Euler class vanishes and the
+    action fixes a subsphere.
     """
     if not lens.weights:
         raise ValueError("weight list must be nonempty")
-    N = lens.N
-    for w in lens.weights:
-        if w % N == 0:
-            raise NonFreeAction(f"weight {w} is not a unit mod {N}")
-    d = len(lens.weights)
-    norm = _norm(N)
-    differentials = (
-        _shift_minus_one(N, lens.weights[i // 2]) if i % 2 == 0 else norm
-        for i in range(2 * d - 1)
-    )
-    dims = _hom_complex_dims(differentials, N)
-    return GradedFpVector({i: dims[i] for i in range(2 * d) if dims[i]}, top=2 * d - 1)
+    top = 2 * len(lens.weights) - 1
+    # from degree top on the profile is constant, so one degree past top decides it
+    dims = _gysin_dims(lens.N, lens.weights, top + 1)
+    if dims[top + 1]:
+        raise NonFreeAction(
+            f"Euler class of weights {lens.weights} is 0 mod {lens.N}: "
+            f"the profile is 2-dimensional from degree {top} on, unbounded"
+        )
+    return GradedFpVector(dict(enumerate(dims[: top + 1])), top=top)
 
 
 def point_equivariant_cohomology(N: int, max_degree: int) -> GradedFpVector:
@@ -182,8 +158,8 @@ def point_equivariant_cohomology(N: int, max_degree: int) -> GradedFpVector:
     """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
-    dims = _hom_complex_dims(_periodic_differentials(N, max_degree + 1), N)
-    return GradedFpVector({i: dims[i] for i in range(max_degree + 1) if dims[i]}, top=None)
+    _require_odd_prime(N)
+    return GradedFpVector(dict.fromkeys(range(max_degree + 1), 1), top=None)
 
 
 def boundedness_dichotomy(free_part: GradedFpVector, fixed_part: GradedFpVector) -> Dichotomy:

@@ -1,12 +1,12 @@
 """Exact linear algebra over the prime field F_p.
 
 Everything here is integer arithmetic with Gaussian elimination mod p;
-no floating point is involved anywhere.  In production,
-cochain_cohomology_dims receives the 1 x 1 cochain maps that
-cck.equivariant reads off group-ring augmentations.  The dense route
-(products, kernels, solve_in_basis, restricted_map) realizes the same
-hom complexes on the N x N regular representation and is the test
-oracle for that path, so plain list-of-list elimination is adequate.
+no floating point is involved anywhere.  This is only the dense oracle:
+products, kernels, solve_in_basis, restricted_map and
+cochain_cohomology_dims realize the hom complexes of cck.equivariant on
+the N x N regular representation, which the tests compare with the
+Gysin computation of the production path, so plain list-of-list
+elimination is adequate.
 """
 
 from __future__ import annotations

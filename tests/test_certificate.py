@@ -198,7 +198,11 @@ def test_restriction_degree_monotone_in_capacity(n, N, num, den):
 
 @pytest.mark.parametrize(
     "c_R, N, ceil_R, deg_R",
-    [("101/100", 101, 100, 200), ("1001/1000", 1009, 1008, 2016)],
+    [
+        ("101/100", 101, 100, 200),
+        ("1001/1000", 1009, 1008, 2016),
+        ("10001/10000", 10007, 10006, 20012),
+    ],
 )
 def test_certificate_large_witness_builds_no_dense_matrix(monkeypatch, c_R, N, ceil_R, deg_R):
     def refuse(*args):

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from cck import cli, spectrum
+from cck import cli, hamflow, spectrum
 
 
 def run_cli(capsys, *argv):
@@ -44,6 +44,10 @@ def test_certificate_malformed_rational_is_usage_error(capsys):
     code, doc, err = run_cli(capsys, "certificate", "--cr", "abc", "--cR", "1")
     assert code == 64
     assert doc is None
+    assert "--cr is not a rational: 'abc'" in err
+    code, doc, err = run_cli(capsys, "spectrum", "--N", "5", "--T", "1/0", "--c", "1")
+    assert (code, doc) == (64, None)
+    assert "--T is not a rational: '1/0'" in err
 
 
 def test_certificate_unknown_flag_is_usage_error(capsys):
@@ -228,3 +232,73 @@ def test_tolerance_flag_beats_env(capsys, monkeypatch):
     code, doc, _ = run_cli(capsys, "--tol", "1e-3", "squeeze", "--N", "1", "--R", "1")
     assert doc["checks"][0]["tolerance"] == 1e-3
     assert doc["checks"][0]["passed"] is True
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["squeeze", "--N", "1", "--R", "nan"], "--R"),
+        (["gamma", "--R", "1", "--q1", "nan", "--q2", "0", "--t", "-1.5"], "--q1"),
+        (["spectrum", "--N", "5", "--A", "nan"], "--A"),
+        (["--tol", "nan", "squeeze", "--N", "1", "--R", "1"], "--tol"),
+        (["gamma", "--R", "1", "--q1", "0", "--q2", "0.3,inf", "--t", "-1.5"], "--q2"),
+        (["gamma", "--R", "1", "--q1", "0", "--q2", "0", "--t=-1e400"], "--t"),
+    ],
+)
+def test_non_finite_number_is_usage_error(capsys, argv, flag):
+    code, doc, err = run_cli(capsys, *argv)
+    assert (code, doc) == (64, None)
+    assert f"argument {flag}: not a finite number" in err
+
+
+def test_non_finite_env_tolerance_is_ignored(capsys, monkeypatch):
+    monkeypatch.setenv("CCK_TOL", "nan")
+    code, doc, err = run_cli(capsys, "squeeze", "--N", "1", "--R", "1")
+    assert code == 0
+    assert doc["checks"][0]["tolerance"] == cli.CONTACT_TOL
+    assert "ignoring malformed CCK_TOL" in err
+
+
+def test_non_finite_output_prints_nothing(capsys, monkeypatch):
+    monkeypatch.setattr(hamflow, "squeezed_radius", lambda R, N: float("nan"))
+    code = cli.main(["squeeze", "--N", "1", "--R", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "not JSON compliant" in captured.err
+
+
+def test_conformal_check_fails_with_finite_residual(capsys, monkeypatch):
+    flipped = hamflow.ContactCheck(deviation=0.0, min_conformal=-0.5)
+    monkeypatch.setattr(hamflow, "contact_check", lambda N, samples: flipped)
+    code, doc, _ = run_cli(capsys, "squeeze", "--N", "1", "--R", "1")
+    assert code == 3
+    assert doc["checks"][1] == {
+        "name": "conformal_positive", "passed": False, "residual": 1.0, "tolerance": 0.0,
+    }
+
+
+@pytest.mark.parametrize(
+    "argv, budget",
+    [
+        (["ext", "--N", "5", "--max-degree"], cli.MAX_EXT_DEGREE),
+        (["spectrum", "--N", "5", "--A", "-0.5", "--n"], cli.MAX_SPECTRUM_N),
+        (["squeeze", "--N", "1", "--R", "1", "--samples"], cli.MAX_SQUEEZE_SAMPLES),
+    ],
+)
+def test_input_over_budget_is_domain_error(capsys, monkeypatch, argv, budget):
+    # the budget is checked before any work
+    for name in ("point_equivariant_cohomology", "lens_cohomology"):
+        monkeypatch.setattr(cli.equivariant, name, None)
+    monkeypatch.setattr(spectrum, "build_action_matrix", None)
+    monkeypatch.setattr(hamflow, "squeezed_radius", None)
+    code, doc, err = run_cli(capsys, *argv, str(budget + 1))
+    assert (code, doc) == (1, None)
+    assert f"OverBudget: {argv[-1]} {budget + 1} is above its budget of {budget}" in err
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_squeeze_needs_a_sample(capsys, samples):
+    code, doc, err = run_cli(capsys, "squeeze", "--N", "1", "--R", "1", "--samples", samples)
+    assert (code, doc) == (1, None)
+    assert "--samples must be >= 1" in err

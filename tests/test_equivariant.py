@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from cck.equivariant import (
     Dichotomy,
+    _gysin_dims,
     GradedFpVector,
     LensData,
     boundedness_dichotomy,
@@ -90,6 +91,23 @@ def test_lens_rejects_non_unit_weight():
         lens_cohomology(LensData(5, (1, 10, 2)))
 
 
+@pytest.mark.parametrize(
+    "N, weights, profile",
+    [
+        (5, (1, 2), [1, 1, 1, 1, 0, 0, 0, 0]),
+        (7, (3, 4, 6), [1, 1, 1, 1, 1, 1, 0, 0]),
+        (5, (1, 5), [1, 1, 1, 2, 2, 2, 2, 2]),
+        (7, (14,), [1, 2, 2, 2, 2, 2, 2, 2]),
+        (11, (0, 3), [1, 1, 1, 2, 2, 2, 2, 2]),
+        (5, (2, 3, 10), [1, 1, 1, 1, 1, 2, 2, 2]),
+    ],
+)
+def test_gysin_profile_follows_euler_class(N, weights, profile):
+    # prod w_i != 0 mod N: bounded with top 2d - 1; prod w_i == 0: dimension 2 from 2d - 1 on
+    assert _gysin_dims(N, weights, 7) == profile
+    assert _gysin_dims(N, weights, 1000)[1000] == profile[7]
+
+
 def test_lens_rejects_empty_weights():
     with pytest.raises(ValueError):
         lens_cohomology(LensData(5, ()))
@@ -110,7 +128,7 @@ def test_lens_total_dimension(weights):
     weights = tuple(w % 7 or 1 for w in weights)
     graded = lens_cohomology(LensData(7, weights))
     d = len(weights)
-    assert graded.total_dim == 2 * d
+    assert sum(graded.dims.values()) == 2 * d
     # Euler characteristic vanishes in positive dimension
     assert sum((-1) ** k * v for k, v in graded.dims.items()) == 0
 

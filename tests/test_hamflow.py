@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cck.errors import SingularAngle
+from cck.errors import NonStationary, SingularAngle
 from cck.hamflow import (
     PhasePoint,
     PrequantPoint,
@@ -142,6 +142,13 @@ def test_compose_rejects_outside_window():
         compose_gen_fn(1.0, 1.0, [1.0], [1.0])  # sum beyond pi/2
     with pytest.raises(ValueError):
         compose_gen_fn(-0.1, 0.3, [1.0], [1.0])
+
+
+def test_compose_rejects_vanishing_stationarity_coefficient():
+    # cot(2 a1) + cot(2 a2) vanishes as a1 + a2 reaches pi/2 from inside the window
+    a2 = math.nextafter(math.pi / 2 - 0.3, 0.0)
+    with pytest.raises(NonStationary):
+        compose_gen_fn(0.3, a2, [0.1], [0.2])
 
 
 def test_squeeze_fixes_the_axis():
