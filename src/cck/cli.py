@@ -45,9 +45,10 @@ CONTACT_TOL = 1e-4
 GRID_TOL = 1e-6
 
 # Budgets: a larger input fails with OverBudget (exit 1) before any work.
+MAX_CERTIFICATE_N = 10  # cck certificate --n: the lens and point profiles hold ~2n N entries
 MAX_EXT_DEGREE = 10_000  # cck ext --max-degree: ~0.1 MB of report
 MAX_SPECTRUM_N = 100  # cck spectrum --n: the report lists n weights per positive pair
-MAX_SQUEEZE_SAMPLES = 10_000  # cck squeeze --samples: ~1 s of contact checks
+MAX_SQUEEZE_SAMPLES = 10_000  # cck squeeze --samples: ~0.2 s of sampling and contact checks
 
 
 class UsageError(Exception):
@@ -57,13 +58,14 @@ class UsageError(Exception):
 class Parser(argparse.ArgumentParser):
     """argparse with BSD-style exit code 64 on usage errors.
 
-    A negative number or comma-separated vector such as -0.2,0.4 is read
-    as a value, not as an unknown flag.
+    A negative number or comma-separated vector such as -0.2,0.4 or
+    -1e-3,2.5E-1 is read as a value, not as an unknown flag.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\d*\.?\d+(,-?\d*\.?\d+)*$")
+        number = r"\d*\.?\d+(?:[eE][-+]?\d+)?"
+        self._negative_number_matcher = re.compile(rf"^-{number}(?:,-?{number})*$")
 
     def error(self, message):
         raise UsageError(message)
@@ -224,6 +226,7 @@ def _capacities(args) -> tuple[Fraction, Fraction]:
 
 
 def cmd_certificate(args) -> int:
+    _within_budget("--n", args.n, MAX_CERTIFICATE_N)
     c_r, c_R = _capacities(args)
     regime = certificate.classify_regime(c_r, c_R, args.n)
     inputs = {

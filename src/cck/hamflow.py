@@ -171,13 +171,17 @@ def compose_gen_fn(a1: float, a2: float, q1, q3) -> float:
     return gen_fn_qq(a1, q1, q2) + gen_fn_qq(a2, q2, q3)
 
 
+def _shrink(N: int, rho2):
+    """The factor nu = 1/sqrt(1 + N pi |w|^2) of the squeeze map, from rho2 = |w|^2."""
+    return 1.0 / np.sqrt(1.0 + N * math.pi * rho2)
+
+
 def twist_squeeze(N: int, pt: PrequantPoint) -> PrequantPoint:
     """One twist of the squeeze map: (w, z) -> (nu(w) e^{2 pi i N z} w, z)."""
     if N < 1:
         raise ValueError("N must be a positive integer")
     rho2 = float(np.sum(pt.w.real**2 + pt.w.imag**2))
-    nu = 1.0 / math.sqrt(1.0 + N * math.pi * rho2)
-    return PrequantPoint(nu * np.exp(2j * math.pi * N * pt.z) * pt.w, pt.z)
+    return PrequantPoint(_shrink(N, rho2) * np.exp(2j * math.pi * N * pt.z) * pt.w, pt.z)
 
 
 def squeezed_radius(R: float, N: int) -> float:
@@ -195,20 +199,23 @@ class ContactCheck(NamedTuple):
 
 
 def _squeeze_real(x: np.ndarray, N: int) -> np.ndarray:
-    """Squeeze map in real coordinates (q, p, z), z unreduced; w = q - i p."""
-    n = (x.size - 1) // 2
-    q, p, z = x[:n], x[n : 2 * n], x[2 * n]
+    """Squeeze map in real coordinates (q, p, z), z unreduced; w = q - i p.
+
+    x has shape (..., 2n + 1); the map acts on the last axis.
+    """
+    n = (x.shape[-1] - 1) // 2
+    q, p, z = x[..., :n], x[..., n : 2 * n], x[..., 2 * n :]
     w = q - 1j * p
-    rho2 = float(q @ q + p @ p)
-    nu = 1.0 / math.sqrt(1.0 + N * math.pi * rho2)
-    wp = nu * np.exp(2j * math.pi * N * z) * w
-    return np.concatenate([wp.real, -wp.imag, [z]])
+    rho2 = np.sum(q * q, axis=-1, keepdims=True) + np.sum(p * p, axis=-1, keepdims=True)
+    wp = _shrink(N, rho2) * np.exp(2j * math.pi * N * z) * w
+    return np.concatenate([wp.real, -wp.imag, z], axis=-1)
 
 
 def _alpha_prequant(x: np.ndarray) -> np.ndarray:
-    """Coefficients of dz + (q dp - p dq)/2 in the (dq, dp, dz) basis."""
-    n = (x.size - 1) // 2
-    return np.concatenate([-x[n : 2 * n] / 2.0, x[:n] / 2.0, [1.0]])
+    """Coefficients of dz + (q dp - p dq)/2 in the (dq, dp, dz) basis, on the last axis of x."""
+    n = (x.shape[-1] - 1) // 2
+    one = np.ones(x.shape[:-1] + (1,))
+    return np.concatenate([-x[..., n : 2 * n] / 2.0, x[..., :n] / 2.0, one], axis=-1)
 
 
 def contact_check(N: int, samples, h: float = DEFAULT_FD_STEP) -> ContactCheck:
@@ -220,24 +227,35 @@ def contact_check(N: int, samples, h: float = DEFAULT_FD_STEP) -> ContactCheck:
     and everything orthogonal to alpha should vanish.  Returns the max
     orthogonal norm together with the smallest conformal factor seen
     (a genuine contactomorphism gives a positive factor everywhere).
+
+    The samples are grouped by real dimension m = 2n + 1.  Each group is
+    one (S, m) array; its 2m perturbed copies x +- h e_j form one
+    (2, S, m, m) array that goes through the map in a single call, and
+    the Jacobians, pullbacks, factors and residuals of the whole group
+    are array operations.  Raises ValueError when there is no sample.
     """
     if N < 1:
         raise ValueError("N must be a positive integer")
     if h <= 0:
         raise ValueError("h must be positive")
-    worst = 0.0
-    min_factor = math.inf
+    groups: dict[int, list[np.ndarray]] = {}
     for pt in samples:
         x = np.concatenate([pt.w.real, -pt.w.imag, [pt.z]])
-        m = x.size
-        jac = np.empty((m, m))
-        for j in range(m):
-            e = np.zeros(m)
-            e[j] = h
-            jac[:, j] = (_squeeze_real(x + e, N) - _squeeze_real(x - e, N)) / (2.0 * h)
-        beta = _alpha_prequant(_squeeze_real(x, N)) @ jac
+        groups.setdefault(x.size, []).append(x)
+    if not groups:
+        raise ValueError("need at least one sample")
+    worst = 0.0
+    min_factor = math.inf
+    for m, rows in groups.items():
+        x = np.array(rows)  # (S, m)
+        step = h * np.eye(m)  # row j is h e_j
+        shifted = np.stack([x[:, None, :] + step, x[:, None, :] - step])  # (2, S, m, m)
+        image = _squeeze_real(shifted, N)
+        # jac[s, i, j] = dF_i/dx_j at sample s
+        jac = np.swapaxes((image[0] - image[1]) / (2.0 * h), 1, 2)
+        beta = np.matmul(_alpha_prequant(_squeeze_real(x, N))[:, None, :], jac)[:, 0, :]
         alpha = _alpha_prequant(x)
-        factor = float(beta @ alpha) / float(alpha @ alpha)
-        worst = max(worst, float(np.max(np.abs(beta - factor * alpha))))
-        min_factor = min(min_factor, factor)
+        factor = np.sum(beta * alpha, axis=-1) / np.sum(alpha * alpha, axis=-1)
+        worst = max(worst, float(np.max(np.abs(beta - factor[:, None] * alpha))))
+        min_factor = min(min_factor, float(np.min(factor)))
     return ContactCheck(worst, min_factor)

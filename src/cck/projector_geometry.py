@@ -180,14 +180,16 @@ def critical_momenta(R: float, q1, q2) -> list[tuple[float, np.ndarray, np.ndarr
     return out
 
 
+def _action(P: float, Q: float, R: float, a):
+    """f(a) from P = <q1, q2> and Q = |q1|^2 + |q2|^2; a is a float or an array."""
+    return (2.0 * P - np.cos(2.0 * a) * Q) / (2.0 * np.sin(2.0 * a)) - a * R * R
+
+
 def action_profile(R: float, q1, q2, a) -> np.ndarray:
     """f(a) = -S_a(q1, q2) - a R^2 evaluated on an array of angles in (0, pi/2]."""
     q1 = np.atleast_1d(np.asarray(q1, dtype=float))
     q2 = np.atleast_1d(np.asarray(q2, dtype=float))
-    a = np.asarray(a, dtype=float)
-    P = float(q1 @ q2)
-    Q = float(q1 @ q1 + q2 @ q2)
-    return (2.0 * P - np.cos(2.0 * a) * Q) / (2.0 * np.sin(2.0 * a)) - a * R * R
+    return _action(float(q1 @ q2), float(q1 @ q1 + q2 @ q2), R, np.asarray(a, dtype=float))
 
 
 def sigma_membership(query: BlockQuery) -> bool:
@@ -251,9 +253,10 @@ def grid_extrema(R: float, q1, q2, grid_points: int = 10_000) -> tuple[float, fl
     q2 = np.atleast_1d(np.asarray(q2, dtype=float))
     a = (np.arange(1, grid_points + 1) / grid_points) * (math.pi / 2.0)
     f = action_profile(R, q1, q2, a)
+    P, Q = float(q1 @ q2), float(q1 @ q1 + q2 @ q2)
 
     def f1d(x: float) -> float:
-        return float(action_profile(R, q1, q2, np.array([x]))[0])
+        return float(_action(P, Q, R, x))
 
     maxima = np.where((f[1:-1] >= f[:-2]) & (f[1:-1] >= f[2:]))[0] + 1
     minima = np.where((f[1:-1] <= f[:-2]) & (f[1:-1] <= f[2:]))[0] + 1

@@ -1,10 +1,13 @@
 import functools
 import json
+import pathlib
 
 import numpy as np
 import pytest
 
-from cck import cli, hamflow, spectrum
+from cck import certificate, cli, hamflow, spectrum
+
+REFERENCE = pathlib.Path(__file__).parent / "data" / "oracle_reference.json"
 
 
 def run_cli(capsys, *argv):
@@ -171,6 +174,32 @@ def test_gamma_negative_vector_after_space(capsys):
     assert (code, doc) == run_cli(capsys, *head, "--q2=-0.2,0.4", "--t", "-0.5")[:2]
 
 
+@pytest.mark.parametrize("q1, q2, t", [("0.3", "0.2", "-1e-3"), ("0.3,0.1", "-1e-3,2.5E-1", "-0.5")])
+def test_gamma_negative_exponent_after_space(capsys, q1, q2, t):
+    head = ["gamma", "--R", "1", "--q1", q1]
+    code, doc, err = run_cli(capsys, *head, "--q2", q2, "--t", t)
+    assert code == 0, err
+    assert doc["inputs"]["q2"] == [float(x) for x in q2.split(",")]
+    assert doc["inputs"]["t"] == float(t)
+    assert (code, doc) == run_cli(capsys, *head, f"--q2={q2}", f"--t={t}")[:2]
+
+
+def test_oracle_reports_match_reference(capsys):
+    """gamma --grid and squeeze keep their exit codes, verdicts and oracle values.
+
+    The reference holds the gamma and squeeze operations of the
+    perfbench mixed_cli workload for seeds 1-3, with the values that the
+    per-sample contact check and the golden-section search over
+    one-element arrays gave before both were batched.
+    """
+    for op in json.loads(REFERENCE.read_text()):
+        code, doc, err = run_cli(capsys, *op["argv"])
+        assert code == op["exit"], err
+        assert {check["name"]: check["passed"] for check in doc["checks"]} == op["checks"]
+        for key, value in op["values"].items():
+            assert abs(doc["outputs"][key] - value) <= 1e-12, (op["argv"], key)
+
+
 def test_squeeze_report(capsys):
     code, doc, _ = run_cli(capsys, "squeeze", "--N", "1", "--R", "1")
     assert code == 0
@@ -284,10 +313,13 @@ def test_conformal_check_fails_with_finite_residual(capsys, monkeypatch):
         (["ext", "--N", "5", "--max-degree"], cli.MAX_EXT_DEGREE),
         (["spectrum", "--N", "5", "--A", "-0.5", "--n"], cli.MAX_SPECTRUM_N),
         (["squeeze", "--N", "1", "--R", "1", "--samples"], cli.MAX_SQUEEZE_SAMPLES),
+        (["certificate", "--cr", "1", "--cR", "2", "--n"], cli.MAX_CERTIFICATE_N),
     ],
 )
 def test_input_over_budget_is_domain_error(capsys, monkeypatch, argv, budget):
     # the budget is checked before any work
+    for name in ("as_capacity", "classify_regime", "nonsqueezing_certificate"):
+        monkeypatch.setattr(certificate, name, None)
     for name in ("point_equivariant_cohomology", "lens_cohomology"):
         monkeypatch.setattr(cli.equivariant, name, None)
     monkeypatch.setattr(spectrum, "build_action_matrix", None)

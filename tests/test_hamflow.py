@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cck import hamflow
 from cck.errors import NonStationary, SingularAngle
 from cck.hamflow import (
     PhasePoint,
@@ -210,6 +211,44 @@ def test_contact_check_random_samples():
         result = contact_check(N, samples)
         assert result.deviation < 1e-4
         assert result.min_conformal > 0
+
+
+def test_contact_check_needs_a_sample():
+    with pytest.raises(ValueError, match="need at least one sample"):
+        contact_check(1, [])
+
+
+def _random_samples(rng, dims, radius=(1.0, 1.0)):
+    """Points with w in C^k for k in dims, |w| drawn from [radius[k-1]/2, radius[k-1]]."""
+    samples = []
+    for k in dims:
+        w = rng.normal(size=k) + 1j * rng.normal(size=k)
+        w *= radius[k - 1] * rng.uniform(0.5, 1.0) / np.linalg.norm(w)
+        samples.append(PrequantPoint(w, rng.random()))
+    return samples
+
+
+@pytest.mark.parametrize("radius, extreme_k", [((1.0, 2.0), 2), ((2.0, 1.0), 1)])
+def test_contact_check_mixed_dimensions_match_single_samples(radius, extreme_k):
+    # k = 1 and k = 2 samples go through separate batches; the larger radius
+    # puts both extremes of the mix in the batch of extreme_k
+    samples = _random_samples(np.random.default_rng(6), (1, 2, 2, 1, 2, 1, 1, 2), radius)
+    for N in (1, 3):
+        batched = contact_check(N, samples)
+        singles = [contact_check(N, [pt]) for pt in samples]
+        worst = max(range(len(samples)), key=lambda i: singles[i].deviation)
+        smallest = min(range(len(samples)), key=lambda i: singles[i].min_conformal)
+        assert samples[worst].w.size == samples[smallest].w.size == extreme_k
+        assert batched.deviation == pytest.approx(singles[worst].deviation, rel=1e-12)
+        assert batched.min_conformal == pytest.approx(singles[smallest].min_conformal, rel=1e-12)
+
+
+def test_contact_check_fails_without_the_shrink_factor(monkeypatch):
+    # (w, z) -> (e^{2 pi i N z} w, z) is not contact: it adds pi N |w|^2 dz to the form
+    samples = _random_samples(np.random.default_rng(7), (1, 2, 1, 2))
+    assert contact_check(2, samples).deviation < 1e-4
+    monkeypatch.setattr(hamflow, "_shrink", lambda N, rho2: np.ones_like(rho2))
+    assert contact_check(2, samples).deviation > 1e-4
 
 
 def test_prequant_point_reduces_circle_coordinate():
