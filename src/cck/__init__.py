@@ -22,7 +22,6 @@ from .errors import (
     CapacityTooSmall,
     CckError,
     InvalidCapacities,
-    InvalidInput,
     NoConvergence,
     NonFreeAction,
     NonStationary,
@@ -51,7 +50,6 @@ __all__ = [
     "CapacityTooSmall",
     "CckError",
     "InvalidCapacities",
-    "InvalidInput",
     "NoConvergence",
     "NonFreeAction",
     "NonStationary",

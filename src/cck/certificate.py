@@ -10,8 +10,11 @@ satisfy deg_R < deg_r, while composing restrictions would force
 deg_R = deg(j) + deg_r >= deg_r: the contradiction certifying that the
 larger ball cannot be squeezed into the smaller one.  Nonvanishing of
 the restriction classes is certified through the boundedness dichotomy:
-the free weighted sphere action of the positive spectral pairs has
-bounded quotient cohomology, while the fixed-point side is unbounded.
+the weighted sphere action of the positive spectral pairs has bounded
+quotient cohomology exactly when it is free, while the fixed-point side
+is unbounded.  The Gysin sequence reduces freeness to one scalar, the
+Euler class of the weights (equivariant.euler_class), so each side
+costs one product of its n ceil(N/c) - n weights mod N.
 
 Ceilings at integer boundaries decide verdicts, so capacities are
 Fractions everywhere and never floats.
@@ -23,13 +26,12 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 from . import equivariant, spectrum
 from .errors import (
     CapacityTooSmall,
     InvalidCapacities,
-    InvalidInput,
+    NonFreeAction,
     NoWitnessBelowLimit,
 )
 from .primes import is_prime, primes_from
@@ -65,11 +67,6 @@ class RegimeReport:
 class Verdict(enum.Enum):
     OBSTRUCTED = "Obstructed"
     NO_OBSTRUCTION = "NoObstruction"
-
-
-class InvariantDegrees(NamedTuple):
-    whole_space: int
-    ball: int
 
 
 @dataclass(frozen=True)
@@ -139,21 +136,6 @@ def restriction_degree(n: int, N: int, c) -> int:
     return 2 * n * math.ceil(Fraction(N) / c) - 2 * n + 2
 
 
-def invariant_degrees(n: int, N: int, c) -> InvariantDegrees:
-    """Shift degrees of the two invariants: whole space and ball.
-
-    whole_space = (1+n)(1-N); ball = D + 2 - (n+1) N with
-    D = 2n ceil(N/c) - n - 1.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if N <= 3 or not is_prime(N):
-        raise ValueError("N must be a prime > 3")
-    c = as_capacity(c)
-    D = 2 * n * math.ceil(Fraction(N) / c) - n - 1
-    return InvariantDegrees((1 + n) * (1 - N), D + 2 - (n + 1) * N)
-
-
 def find_witness_prime(c_r, c_R, limit: int = DEFAULT_WITNESS_LIMIT) -> int:
     """Smallest prime N with 3 < N <= limit and ceil(N/c_R) < ceil(N/c_r)."""
     c_r = as_capacity(c_r)
@@ -175,27 +157,17 @@ def find_witness_prime(c_r, c_R, limit: int = DEFAULT_WITNESS_LIMIT) -> int:
 def _certify_lens_side(n: int, N: int, c: Fraction) -> int:
     """Free-action data for one capacity: the positive index.
 
-    Builds the lens cohomology of the weighted sphere quotient and the
-    unbounded fixed-point profile, checks that both are one-dimensional
-    in every computed degree, and runs the dichotomy; returns the index.
-    Freeness follows from the computed Euler class: a weight 0 mod N
-    makes lens_cohomology raise NonFreeAction.  Raises InvalidInput when
-    a computed profile differs from the expected one.
+    The positive pairs rotate their n coordinates by the weights of
+    spectrum.cyclic_weights; the action on their unit sphere is free,
+    and its quotient cohomology bounded, exactly when the Euler class of
+    these weights is nonzero.  Raises NonFreeAction when it vanishes.
     """
     index = math.ceil(Fraction(N) / c) - 1
-    weights = spectrum.cyclic_weights(n, index, N)
-    if index > 0:
-        bounded = equivariant.lens_cohomology(equivariant.LensData(N, tuple(weights)))
-    else:
-        bounded = equivariant.GradedFpVector({}, top=-1)
-    depth = max(20, 2 * n * index + 2)
-    unbounded = equivariant.point_equivariant_cohomology(N, depth)
-    top = 2 * len(weights) - 1
-    if bounded.dims != dict.fromkeys(range(top + 1), 1) or bounded.top != top:
-        raise InvalidInput(f"lens profile is not one-dimensional in 0..{top} with top {top}")
-    if unbounded.dims != dict.fromkeys(range(depth + 1), 1) or unbounded.bounded:
-        raise InvalidInput(f"point profile is not one-dimensional and unbounded in 0..{depth}")
-    equivariant.boundedness_dichotomy(bounded, unbounded)
+    lens = equivariant.LensData(N, tuple(spectrum.cyclic_weights(n, index, N)))
+    if not equivariant.euler_class(lens):
+        raise NonFreeAction(
+            f"Euler class of the {len(lens.weights)} weights of {index} positive pairs is 0 mod {N}"
+        )
     return index
 
 
@@ -206,9 +178,8 @@ def nonsqueezing_certificate(
 
     Requires 1 <= c_r < c_R.  Finds the smallest witness prime, computes
     both restriction degrees, certifies nonvanishing of the restriction
-    classes through the boundedness dichotomy for both capacities, and
-    emits the Obstructed verdict with a human-readable contradiction
-    trace.
+    classes through a nonzero Euler class for both capacities, and emits
+    the Obstructed verdict with a human-readable contradiction trace.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

@@ -45,8 +45,9 @@ CONTACT_TOL = 1e-4
 GRID_TOL = 1e-6
 
 # Budgets: a larger input fails with OverBudget (exit 1) before any work.
-MAX_CERTIFICATE_N = 10  # cck certificate --n: the lens and point profiles hold ~2n N entries
-MAX_EXT_DEGREE = 10_000  # cck ext --max-degree: ~0.1 MB of report
+MAX_CERTIFICATE_N = 10  # cck certificate --n: the Euler class multiplies ~n N weights
+MAX_WITNESS_LIMIT = certificate.DEFAULT_WITNESS_LIMIT  # cck certificate --limit: N up to 10^6
+MAX_EXT_DEGREE = 10_000  # cck ext --max-degree, and the top degree 2d - 1 of --lens: ~0.1 MB of report
 MAX_SPECTRUM_N = 100  # cck spectrum --n: the report lists n weights per positive pair
 MAX_SQUEEZE_SAMPLES = 10_000  # cck squeeze --samples: ~0.2 s of sampling and contact checks
 
@@ -227,6 +228,7 @@ def _capacities(args) -> tuple[Fraction, Fraction]:
 
 def cmd_certificate(args) -> int:
     _within_budget("--n", args.n, MAX_CERTIFICATE_N)
+    _within_budget("--limit", args.limit, MAX_WITNESS_LIMIT)
     c_r, c_R = _capacities(args)
     regime = certificate.classify_regime(c_r, c_R, args.n)
     inputs = {
@@ -408,6 +410,7 @@ def cmd_squeeze(args) -> int:
 def cmd_ext(args) -> int:
     _within_budget("--max-degree", args.max_degree, MAX_EXT_DEGREE)
     if args.lens is not None:
+        _within_budget("--lens top degree", 2 * len(args.lens) - 1, MAX_EXT_DEGREE)
         graded = equivariant.lens_cohomology(equivariant.LensData(args.N, tuple(args.lens)))
     else:
         graded = equivariant.point_equivariant_cohomology(args.N, args.max_degree)

@@ -1,4 +1,4 @@
-"""Cyclic group cohomology over F_N, lens spaces and the boundedness dichotomy.
+"""Cyclic group cohomology over F_N, lens spaces and the Euler class.
 
 For G = Z/N, N an odd prime, H*(BG; F_N) = F_N[u] (x) Lambda[x] is
 one-dimensional in every degree: that is Ext between trivial
@@ -9,8 +9,9 @@ which the Euler class e(V) = (prod w_i mod N) u^d acts between lines
 as one scalar, at O(1) per degree.  A nonzero scalar gives dimension 1
 in degrees 0..2d-1 and 0 above (the bounded lens profile of a free
 action); a zero one, from a weight 0 mod N, gives dimension 2 from
-degree 2d-1 on.  The dichotomy between a bounded and an unbounded
-profile is the contradiction engine of the certificate.
+degree 2d-1 on.  So the scalar alone, euler_class, decides between
+the bounded profile and the unbounded one of the point: the
+certificate reads it and builds no profile.
 
 This is the production path, and it builds no matrix.  The dense route
 on the N x N regular representation (generator_matrix, resolution_maps,
@@ -21,10 +22,9 @@ compare against.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 
-from .errors import InvalidInput, NonFreeAction
+from .errors import NonFreeAction
 from .fp import FpMatrix
 from .primes import is_prime
 
@@ -68,10 +68,6 @@ class LensData:
         _require_odd_prime(self.N)
 
 
-class Dichotomy(enum.Enum):
-    CONTRADICTION = "contradiction"
-
-
 def generator_matrix(N: int) -> FpMatrix:
     """Permutation matrix of g acting on the regular representation."""
     return FpMatrix.from_rows(
@@ -95,36 +91,38 @@ def resolution_maps(N: int) -> tuple[FpMatrix, FpMatrix]:
     return tminus1, norm
 
 
-def _gysin_dims(N: int, weights: tuple[int, ...], max_degree: int) -> list[int]:
+def euler_class(lens: LensData) -> int:
+    """The scalar prod w_i mod N of the Euler class e(V) = (prod w_i) u^d.
+
+    It is nonzero exactly when every weight is a unit mod N, that is
+    when the action on S(V) is free; no weights give the empty product 1.
+    """
+    e = 1
+    for w in lens.weights:
+        e = e * w % lens.N
+    return e
+
+
+def _gysin_dims(lens: LensData, max_degree: int) -> list[int]:
     """dim H^k_G(S(V); F_N) for k = 0..max_degree, from the Gysin sequence.
 
-    V is the sum of the lines of the given weights, d = len(weights), and
-    multiplication by the Euler class e(V) = (prod w_i) u^d maps H^j(BG)
-    to H^(j+2d), both one-dimensional for j >= 0, by the scalar
-    prod w_i mod N.  The exact sequence
+    V is the sum of the lines of the lens weights, d = len(weights), and
+    multiplication by the Euler class maps H^j(BG) to H^(j+2d), both
+    one-dimensional for j >= 0, by the scalar euler_class(lens).  The
+    exact sequence
 
         H^(k-2d)(BG) -e-> H^k(BG) -> H^k_G(S(V)) -> H^(k-2d+1)(BG) -e-> H^(k+1)(BG)
 
     gives dim coker(e on H^(k-2d)) + dim ker(e on H^(k-2d+1)).
     """
-    e = 1
-    for w in weights:
-        e = e * w % N
-    shift = 2 * len(weights)
+    e = euler_class(lens)
+    shift = 2 * len(lens.weights)
     # e is injective from the line H^j(BG), j >= 0, exactly when the scalar is nonzero
     return [
         (0 if e and k >= shift else 1)  # coker of e: H^(k-2d) -> H^k
         + (1 if not e and k >= shift - 1 else 0)  # ker of e on H^(k-2d+1)
         for k in range(max_degree + 1)
     ]
-
-
-def ext_trivial(N: int, degree: int) -> int:
-    """dim Ext^degree between trivial F_N[Z/N]-modules: H^degree(BZ/N; F_N) = 1."""
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
-    _require_odd_prime(N)
-    return 1
 
 
 def lens_cohomology(lens: LensData) -> GradedFpVector:
@@ -141,7 +139,7 @@ def lens_cohomology(lens: LensData) -> GradedFpVector:
         raise ValueError("weight list must be nonempty")
     top = 2 * len(lens.weights) - 1
     # from degree top on the profile is constant, so one degree past top decides it
-    dims = _gysin_dims(lens.N, lens.weights, top + 1)
+    dims = _gysin_dims(lens, top + 1)
     if dims[top + 1]:
         raise NonFreeAction(
             f"Euler class of weights {lens.weights} is 0 mod {lens.N}: "
@@ -161,18 +159,3 @@ def point_equivariant_cohomology(N: int, max_degree: int) -> GradedFpVector:
     _require_odd_prime(N)
     return GradedFpVector(dict.fromkeys(range(max_degree + 1), 1), top=None)
 
-
-def boundedness_dichotomy(free_part: GradedFpVector, fixed_part: GradedFpVector) -> Dichotomy:
-    """Certify the contradiction between a bounded and an unbounded profile.
-
-    The cone of the restriction class cannot be both the bounded lens
-    cohomology (free action side) and the unbounded split cohomology
-    (fixed point side); given one profile of each kind the verdict is
-    Contradiction.  Raises InvalidInput when the flags do not match the
-    preconditions.
-    """
-    if not free_part.bounded:
-        raise InvalidInput("free-action side must be bounded")
-    if fixed_part.bounded:
-        raise InvalidInput("fixed-point side must be unbounded")
-    return Dichotomy.CONTRADICTION

@@ -52,10 +52,6 @@ class NonFreeAction(CckError):
     """A cyclic sphere action with a non-unit weight is not free."""
 
 
-class InvalidInput(CckError):
-    """A computed cohomology profile does not match the dichotomy preconditions."""
-
-
 class InvalidCapacities(CckError):
     """Capacities must be positive rationals with c_r <= c_R."""
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 import numpy as np
 
@@ -83,12 +82,6 @@ class CirculantActionForm:
         return 2.0 * self.A / self.M
 
 
-class DimensionData(NamedTuple):
-    D_lemma: int
-    D_prop: int
-    sphere_dim: int
-
-
 def _check_phi(phi: float) -> float:
     s = math.sin(phi)
     if abs(s) < 1e-12:
@@ -114,11 +107,6 @@ def build_action_matrix(form: CirculantActionForm) -> np.ndarray:
     return C
 
 
-def full_action_matrix(form: CirculantActionForm) -> np.ndarray:
-    """The n-dimensional form: scalar circulant tensored with the identity."""
-    return np.kron(build_action_matrix(form), np.eye(form.n))
-
-
 def analytic_eigenvalues(form: CirculantActionForm) -> np.ndarray:
     """lambda_l = cot(phi) - csc(phi) cos(2 pi l / MN) for l = 0..MN-1.
 
@@ -130,12 +118,6 @@ def analytic_eigenvalues(form: CirculantActionForm) -> np.ndarray:
     l = np.arange(form.size)
     k = np.minimum(l, form.size - l)
     return math.cos(form.phi) / s - np.cos(2.0 * math.pi * k / form.size) / s
-
-
-def eigenvector_component(form: CirculantActionForm, l: int) -> np.ndarray:
-    """Real part of the root-of-unity eigenvector (1, w^l, w^{2l}, ...)."""
-    k = np.arange(form.size)
-    return np.cos(2.0 * math.pi * l * k / form.size)
 
 
 def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -309,22 +291,6 @@ def positive_count_from_eigenvalues(N: int, M: int, T, c, tol: float = 1e-9) -> 
     l = np.arange(1, (M * N - 1) // 2 + 1)
     lam = (np.cos(2.0 * math.pi * l / (M * N)) - math.cos(theta)) / s
     return int(np.sum(lam > tol))
-
-
-def dimension_formulas(n: int, T, c) -> DimensionData:
-    """Both printed dimension conventions plus the odd-sphere dimension.
-
-    D_lemma = 2n ceil(T/c) - n - 1 and D_prop = 2n ceil(T/c) - n + 1 are
-    reported as printed; sphere_dim = 2 n I - 1 is the dimension of the
-    unit sphere inside the 2 n I positive coordinates and is the
-    normative value for free-action checks.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    T, c = _positive_rationals(T, c)
-    ceiling = math.ceil(T / c)
-    index = ceiling - 1
-    return DimensionData(2 * n * ceiling - n - 1, 2 * n * ceiling - n + 1, 2 * n * index - 1)
 
 
 def cyclic_weights(n: int, index_count: int, N: int) -> list[int]:

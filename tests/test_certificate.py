@@ -11,7 +11,6 @@ from cck.certificate import (
     as_capacity,
     classify_regime,
     find_witness_prime,
-    invariant_degrees,
     nonsqueezing_certificate,
     restriction_degree,
 )
@@ -19,7 +18,7 @@ from cck import cli, equivariant
 from cck.errors import (
     CapacityTooSmall,
     InvalidCapacities,
-    InvalidInput,
+    NonFreeAction,
     NoWitnessBelowLimit,
 )
 from cck.fp import FpMatrix
@@ -85,12 +84,6 @@ def test_restriction_degree_rejects_bad_prime():
         restriction_degree(1, 4, 1)
     with pytest.raises(ValueError):
         restriction_degree(1, 3, 1)
-
-
-def test_invariant_degrees_values():
-    assert invariant_degrees(1, 5, 1).whole_space == -8
-    assert invariant_degrees(1, 5, 1).ball == 0
-    assert invariant_degrees(1, 5, 2).ball == -4
 
 
 def test_witness_prime_examples():
@@ -206,26 +199,21 @@ def test_restriction_degree_monotone_in_capacity(n, N, num, den):
 )
 def test_certificate_large_witness_builds_no_dense_matrix(monkeypatch, c_R, N, ceil_R, deg_R):
     def refuse(*args):
-        raise AssertionError("dense N x N matrix built on the certificate path")
+        raise AssertionError("dense matrix or cohomology profile built on the certificate path")
 
     monkeypatch.setattr(FpMatrix, "__matmul__", refuse)
     monkeypatch.setattr(equivariant, "generator_matrix", refuse)
+    monkeypatch.setattr(equivariant, "lens_cohomology", refuse)
+    monkeypatch.setattr(equivariant, "point_equivariant_cohomology", refuse)
     cert = nonsqueezing_certificate(1, 1, c_R)
     assert cert.verdict is Verdict.OBSTRUCTED
     assert (cert.N, cert.ceil_R, cert.ceil_r) == (N, ceil_R, N)
     assert (cert.deg_R, cert.deg_r) == (deg_R, 2 * N)
 
 
-def test_certificate_rejects_computed_lens_profile_mismatch(monkeypatch, capsys):
-    original = equivariant.lens_cohomology
-
-    def drop_degree(lens):
-        graded = original(lens)
-        del graded.dims[1]
-        return graded
-
-    monkeypatch.setattr(equivariant, "lens_cohomology", drop_degree)
-    with pytest.raises(InvalidInput):
+def test_certificate_rejects_vanishing_euler_class(monkeypatch, capsys):
+    monkeypatch.setattr(equivariant, "euler_class", lambda lens: 0)
+    with pytest.raises(NonFreeAction):
         nonsqueezing_certificate(1, 1, 2)
     assert cli.main(["certificate", "--cr", "1", "--cR", "2"]) == 1
-    assert "InvalidInput" in capsys.readouterr().err
+    assert "NonFreeAction" in capsys.readouterr().err

@@ -314,6 +314,8 @@ def test_conformal_check_fails_with_finite_residual(capsys, monkeypatch):
         (["spectrum", "--N", "5", "--A", "-0.5", "--n"], cli.MAX_SPECTRUM_N),
         (["squeeze", "--N", "1", "--R", "1", "--samples"], cli.MAX_SQUEEZE_SAMPLES),
         (["certificate", "--cr", "1", "--cR", "2", "--n"], cli.MAX_CERTIFICATE_N),
+        (["certificate", "--cr", "1", "--cR", "2", "--limit"], cli.MAX_WITNESS_LIMIT),
+        (["ext", "--N", "5", "--lens"], cli.MAX_EXT_DEGREE),
     ],
 )
 def test_input_over_budget_is_domain_error(capsys, monkeypatch, argv, budget):
@@ -324,9 +326,14 @@ def test_input_over_budget_is_domain_error(capsys, monkeypatch, argv, budget):
         monkeypatch.setattr(cli.equivariant, name, None)
     monkeypatch.setattr(spectrum, "build_action_matrix", None)
     monkeypatch.setattr(hamflow, "squeezed_radius", None)
-    code, doc, err = run_cli(capsys, *argv, str(budget + 1))
+    if argv[-1] == "--lens":
+        # d weights reach the top degree 2d - 1 = budget + 1
+        value, flag = ",".join(["1"] * (budget // 2 + 1)), "--lens top degree"
+    else:
+        value, flag = str(budget + 1), argv[-1]
+    code, doc, err = run_cli(capsys, *argv, value)
     assert (code, doc) == (1, None)
-    assert f"OverBudget: {argv[-1]} {budget + 1} is above its budget of {budget}" in err
+    assert f"OverBudget: {flag} {budget + 1} is above its budget of {budget}" in err
 
 
 @pytest.mark.parametrize("samples", ["0", "-5"])

@@ -6,18 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cck.equivariant import (
-    Dichotomy,
     _gysin_dims,
     GradedFpVector,
     LensData,
-    boundedness_dichotomy,
-    ext_trivial,
+    euler_class,
     lens_cohomology,
     point_equivariant_cohomology,
     generator_matrix,
     resolution_maps,
 )
-from cck.errors import InvalidInput, NonFreeAction
+from cck.errors import NonFreeAction
 from cck.fp import FpMatrix, cochain_cohomology_dims, restricted_map
 
 PRIMES = (3, 5, 7, 11)
@@ -56,21 +54,6 @@ def test_kernel_of_shift_is_norm_line():
     assert all((x * image_gen[0]) % 3 == (scale * y) % 3 for x, y in zip(k, image_gen))
 
 
-def test_ext_first_degrees():
-    assert ext_trivial(5, 0) == 1
-    assert ext_trivial(5, 1) == 1
-
-
-def test_ext_unbounded_pattern():
-    assert [ext_trivial(5, d) for d in range(21)] == [1] * 21
-
-
-@pytest.mark.parametrize("N", (3, 7))
-def test_ext_two_periodic(N):
-    for d in range(8):
-        assert ext_trivial(N, d) == ext_trivial(N, d + 2)
-
-
 def test_lens_two_weights():
     graded = lens_cohomology(LensData(5, (1, 2)))
     assert graded.dims == {0: 1, 1: 1, 2: 1, 3: 1}
@@ -104,8 +87,17 @@ def test_lens_rejects_non_unit_weight():
 )
 def test_gysin_profile_follows_euler_class(N, weights, profile):
     # prod w_i != 0 mod N: bounded with top 2d - 1; prod w_i == 0: dimension 2 from 2d - 1 on
-    assert _gysin_dims(N, weights, 7) == profile
-    assert _gysin_dims(N, weights, 1000)[1000] == profile[7]
+    lens = LensData(N, weights)
+    assert _gysin_dims(lens, 7) == profile
+    assert _gysin_dims(lens, 1000)[1000] == profile[7]
+    assert bool(euler_class(lens)) == (profile[7] == 0)
+
+
+def test_euler_class_is_weight_product_mod_N():
+    assert euler_class(LensData(7, (3, 4, 6))) == 72 % 7
+    assert euler_class(LensData(11, (10, 10, 10))) == 10
+    assert euler_class(LensData(5, (2, 3, 10))) == 0
+    assert euler_class(LensData(5, ())) == 1  # the empty product
 
 
 def test_lens_rejects_empty_weights():
@@ -143,21 +135,6 @@ def test_point_cohomology_all_ones():
     graded = point_equivariant_cohomology(5, 10)
     assert graded.dims == {i: 1 for i in range(11)}
     assert graded.top is None
-
-
-def test_dichotomy_contradiction():
-    lens = lens_cohomology(LensData(5, (1, 2, 3, 4)))
-    point = point_equivariant_cohomology(5, 20)
-    assert boundedness_dichotomy(lens, point) is Dichotomy.CONTRADICTION
-
-
-def test_dichotomy_rejects_matching_flags():
-    lens = lens_cohomology(LensData(5, (1, 2)))
-    point = point_equivariant_cohomology(5, 10)
-    with pytest.raises(InvalidInput):
-        boundedness_dichotomy(lens, lens)
-    with pytest.raises(InvalidInput):
-        boundedness_dichotomy(point, point)
 
 
 def test_graded_vector_validates_top():
@@ -235,4 +212,3 @@ def test_lens_and_point_match_dense_reference(N):
         graded = point_equivariant_cohomology(N, max_degree)
         assert graded.dims == {i: x for i, x in enumerate(dense) if x}
         assert not graded.bounded
-        assert [ext_trivial(N, i) for i in range(max_degree + 1)] == dense

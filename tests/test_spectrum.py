@@ -17,9 +17,6 @@ from cck.spectrum import (
     analytic_eigenvalues,
     build_action_matrix,
     cyclic_weights,
-    dimension_formulas,
-    eigenvector_component,
-    full_action_matrix,
     jacobi_eigensystem,
     numeric_eigenvalues,
     positive_count_from_eigenvalues,
@@ -84,24 +81,6 @@ def test_eigenvalue_pairing_is_exact():
         assert lam[l] == lam[size - l]
 
 
-def test_root_of_unity_vectors_are_eigenvectors():
-    form = CirculantActionForm(n=1, N=5, M=5, A=-1.1)
-    C = build_action_matrix(form)
-    lam = analytic_eigenvalues(form)
-    for l in (0, 1, 7, 12):
-        v = eigenvector_component(form, l)
-        assert float(np.max(np.abs(C @ v - lam[l] * v))) < 1e-9
-
-
-def test_full_matrix_is_tensor_with_identity():
-    form = CirculantActionForm(n=2, N=5, M=3, A=-0.2)
-    full = full_action_matrix(form)
-    assert full.shape == (30, 30)
-    lam_scalar = np.sort(analytic_eigenvalues(form))
-    lam_full = np.sort(np.repeat(lam_scalar, 2))
-    assert np.allclose(np.sort(numeric_eigenvalues(full)), lam_full, atol=1e-9)
-
-
 def test_positive_index_examples():
     assert positive_index(1, 5, 5, 5, 1) == 4
     assert positive_index(1, 5, 5, 5, 2) == 2
@@ -151,12 +130,6 @@ def test_substituted_flow_parameter_in_window():
     assert A == pytest.approx(-math.pi, abs=1e-15)
     form = CirculantActionForm(n=1, N=5, M=5, A=A)
     assert abs(form.phi) < math.pi / 2
-
-
-def test_dimension_formulas_examples():
-    assert dimension_formulas(1, 5, 1) == (8, 10, 7)
-    assert dimension_formulas(1, 5, 2) == (4, 6, 3)
-    assert dimension_formulas(2, 5, 1).sphere_dim == 15
 
 
 def test_cyclic_weights_examples():
