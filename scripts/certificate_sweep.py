@@ -13,7 +13,6 @@ Usage:
 """
 
 import argparse
-import math
 import time
 from fractions import Fraction
 
@@ -48,8 +47,7 @@ def main() -> None:
     print(f"\npreviously open shape (no integer between sizes): "
           f"c_r = {frac[0]}, c_R = {frac[1]} -> witness N = {cert.N}, "
           f"degrees {cert.deg_R} < {cert.deg_r}")
-    print(f"ceilings: ceil(N/c_R) = {math.ceil(Fraction(cert.N) / frac[1])}"
-          f" < ceil(N/c_r) = {math.ceil(Fraction(cert.N) / frac[0])}")
+    print(f"ceilings: ceil(N/c_R) = {cert.ceil_R} < ceil(N/c_r) = {cert.ceil_r}")
 
 
 if __name__ == "__main__":

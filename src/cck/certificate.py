@@ -13,11 +13,14 @@ the restriction classes is certified through the boundedness dichotomy:
 the weighted sphere action of the positive spectral pairs has bounded
 quotient cohomology exactly when it is free, while the fixed-point side
 is unbounded.  The Gysin sequence reduces freeness to one scalar, the
-Euler class of the weights (equivariant.euler_class), so each side
-costs one product of its n ceil(N/c) - n weights mod N.
+Euler class of the weights (equivariant.euler_class).  The
+k = ceil(N/c) - 1 positive pairs carry the weights 1..k, n times each,
+so each side costs (k! mod N)^n mod N and builds no weight list.
 
 Ceilings at integer boundaries decide verdicts, so capacities are
-Fractions everywhere and never floats.
+Fractions everywhere and never floats, and every ceiling is the exact
+integer one of _ceil.  The witness search tests the ceilings first and
+runs the primality test only on an N that separates them.
 """
 
 from __future__ import annotations
@@ -27,14 +30,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import equivariant, spectrum
+from . import equivariant
 from .errors import (
     CapacityTooSmall,
     InvalidCapacities,
     NonFreeAction,
     NoWitnessBelowLimit,
 )
-from .primes import is_prime, primes_from
+from .primes import is_prime
 
 DEFAULT_WITNESS_LIMIT = 10**6
 
@@ -120,6 +123,15 @@ def classify_regime(c_r, c_R, n: int) -> RegimeReport:
     return RegimeReport(tuple(labels), primary, witness)
 
 
+def _ceil(N: int, c: Fraction) -> int:
+    """ceil(N / c), exactly, in integer arithmetic."""
+    return -(-N * c.denominator // c.numerator)
+
+
+def _degree(n: int, ceiling: int) -> int:
+    return 2 * n * ceiling - 2 * n + 2
+
+
 def restriction_degree(n: int, N: int, c) -> int:
     """Degree 2n ceil(N/c) - 2n + 2 of the ball restriction class.
 
@@ -133,7 +145,7 @@ def restriction_degree(n: int, N: int, c) -> int:
     c = as_capacity(c)
     if c < 1:
         raise CapacityTooSmall(f"restriction degree needs capacity >= 1, got {c}")
-    return 2 * n * math.ceil(Fraction(N) / c) - 2 * n + 2
+    return _degree(n, _ceil(N, c))
 
 
 def find_witness_prime(c_r, c_R, limit: int = DEFAULT_WITNESS_LIMIT) -> int:
@@ -144,31 +156,26 @@ def find_witness_prime(c_r, c_R, limit: int = DEFAULT_WITNESS_LIMIT) -> int:
         raise InvalidCapacities(f"need c_r < c_R, got {c_r} >= {c_R}")
     if limit < 5:
         raise ValueError("limit must be at least 5")
-    for N in primes_from(5):
-        if N > limit:
-            break
-        if math.ceil(Fraction(N) / c_R) < math.ceil(Fraction(N) / c_r):
+    for N in range(5, limit + 1, 2):
+        if _ceil(N, c_R) < _ceil(N, c_r) and is_prime(N):
             return N
     raise NoWitnessBelowLimit(
         f"no witness prime below {limit} separates ceil(N/{c_R}) from ceil(N/{c_r})"
     )
 
 
-def _certify_lens_side(n: int, N: int, c: Fraction) -> int:
-    """Free-action data for one capacity: the positive index.
+def _certify_lens_side(n: int, N: int, index: int) -> None:
+    """Certify that the action of index positive pairs is free.
 
-    The positive pairs rotate their n coordinates by the weights of
-    spectrum.cyclic_weights; the action on their unit sphere is free,
-    and its quotient cohomology bounded, exactly when the Euler class of
-    these weights is nonzero.  Raises NonFreeAction when it vanishes.
+    Pair k rotates its n coordinates by the weight k (spectrum.cyclic_weights),
+    so the Euler class is (1 * 2 * ... * index)^n mod N.  The action on
+    the unit sphere is free, and its quotient cohomology bounded, exactly
+    when that class is nonzero.  Raises NonFreeAction when it vanishes.
     """
-    index = math.ceil(Fraction(N) / c) - 1
-    lens = equivariant.LensData(N, tuple(spectrum.cyclic_weights(n, index, N)))
-    if not equivariant.euler_class(lens):
+    if not pow(equivariant.euler_class(N, range(1, index + 1)), n, N):
         raise NonFreeAction(
-            f"Euler class of the {len(lens.weights)} weights of {index} positive pairs is 0 mod {N}"
+            f"Euler class of the {n * index} weights of {index} positive pairs is 0 mod {N}"
         )
-    return index
 
 
 def nonsqueezing_certificate(
@@ -190,12 +197,11 @@ def nonsqueezing_certificate(
     if not c_r < c_R:
         raise InvalidCapacities(f"need c_r < c_R, got {c_r} >= {c_R}")
     N = find_witness_prime(c_r, c_R, limit)
-    ceil_R = math.ceil(Fraction(N) / c_R)
-    ceil_r = math.ceil(Fraction(N) / c_r)
-    deg_R = restriction_degree(n, N, c_R)
-    deg_r = restriction_degree(n, N, c_r)
-    idx_R = _certify_lens_side(n, N, c_R)
-    idx_r = _certify_lens_side(n, N, c_r)
+    ceil_R, ceil_r = _ceil(N, c_R), _ceil(N, c_r)
+    deg_R, deg_r = _degree(n, ceil_R), _degree(n, ceil_r)
+    idx_R, idx_r = ceil_R - 1, ceil_r - 1
+    _certify_lens_side(n, N, idx_R)
+    _certify_lens_side(n, N, idx_r)
     trace = (
         f"witness prime N = {N} (search limit {limit}): "
         f"ceil(N/c_R) = {ceil_R} < {ceil_r} = ceil(N/c_r); "

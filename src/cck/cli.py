@@ -22,6 +22,7 @@ quantities are genuinely real (angles, coordinates, flow parameters).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -45,7 +46,7 @@ CONTACT_TOL = 1e-4
 GRID_TOL = 1e-6
 
 # Budgets: a larger input fails with OverBudget (exit 1) before any work.
-MAX_CERTIFICATE_N = 10  # cck certificate --n: the Euler class multiplies ~n N weights
+MAX_CERTIFICATE_N = 10  # cck certificate --n: an input check; n is only an exponent mod N
 MAX_WITNESS_LIMIT = certificate.DEFAULT_WITNESS_LIMIT  # cck certificate --limit: N up to 10^6
 MAX_EXT_DEGREE = 10_000  # cck ext --max-degree, and the top degree 2d - 1 of --lens: ~0.1 MB of report
 MAX_SPECTRUM_N = 100  # cck spectrum --n: the report lists n weights per positive pair
@@ -115,15 +116,16 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
 
-def _emit(report: dict, code: int = EXIT_OK) -> int:
+def _emit(command: str, inputs: dict, outputs: dict, checks: list, code: int = EXIT_OK) -> int:
     """Print the report; return code, or EXIT_CHECK_FAILED if any check failed.
 
     The whole document is serialized before anything is written, so a
     non-finite value raises ValueError (exit 1) with stdout left empty.
     """
+    report = {"command": command, "inputs": inputs, "outputs": outputs, "checks": checks}
     text = json.dumps(report, default=_json_default, allow_nan=False)
     sys.stdout.write(text + "\n")
-    if any(not check["passed"] for check in report["checks"]):
+    if any(not check["passed"] for check in checks):
         return EXIT_CHECK_FAILED
     return code
 
@@ -154,7 +156,9 @@ def _tol(args, fallback: float) -> float:
     return fallback
 
 
+@functools.cache
 def build_parser() -> Parser:
+    """The parser, built once per process: parse_args keeps no state between calls."""
     parser = Parser(prog="cck", description=__doc__.splitlines()[0])
     parser.add_argument("--tol", type=_finite, default=None, help="tolerance for numeric checks")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -244,54 +248,47 @@ def cmd_certificate(args) -> int:
         "integer_witness": regime.integer_witness,
         "scale": "sub-quantum" if c_R < 1 else ("large" if c_r >= 1 else "mixed"),
     }
-    if c_r >= 1 and c_r < c_R:
+    if certificate.RegimeLabel.LARGE_SCALE in regime.labels:
         cert = certificate.nonsqueezing_certificate(args.n, c_r, c_R, args.limit)
-        report = {
-            "command": "certificate",
-            "inputs": inputs,
-            "outputs": {
-                "verdict": cert.verdict.value,
-                "N": cert.N,
-                "ceil_R": cert.ceil_R,
-                "ceil_r": cert.ceil_r,
-                "deg_R": cert.deg_R,
-                "deg_r": cert.deg_r,
-                "regime": regime_doc,
-                "trace": cert.trace,
-            },
-            "checks": [
-                _check("ceiling_drop", max(0, cert.ceil_R - cert.ceil_r + 1), 0),
-                _check("degree_drop", max(0, cert.deg_R - cert.deg_r + 1), 0),
-            ],
-        }
-        return _emit(report)
-    report = {
-        "command": "certificate",
-        "inputs": inputs,
-        "outputs": {
-            "verdict": certificate.Verdict.NO_OBSTRUCTION.value,
-            "N": None,
-            "ceil_R": None,
-            "ceil_r": None,
-            "deg_R": None,
-            "deg_r": None,
+        outputs = {
+            "verdict": cert.verdict.value,
+            "N": cert.N,
+            "ceil_R": cert.ceil_R,
+            "ceil_r": cert.ceil_r,
+            "deg_R": cert.deg_R,
+            "deg_r": cert.deg_r,
             "regime": regime_doc,
-            "trace": "outside the certified regime 1 <= c_r < c_R; no obstruction emitted",
-        },
-        "checks": [],
+            "trace": cert.trace,
+        }
+        checks = [
+            _check("ceiling_drop", max(0, cert.ceil_R - cert.ceil_r + 1), 0),
+            _check("degree_drop", max(0, cert.deg_R - cert.deg_r + 1), 0),
+        ]
+        return _emit("certificate", inputs, outputs, checks)
+    outputs = {
+        "verdict": certificate.Verdict.NO_OBSTRUCTION.value,
+        "N": None,
+        "ceil_R": None,
+        "ceil_r": None,
+        "deg_R": None,
+        "deg_r": None,
+        "regime": regime_doc,
+        "trace": "outside the certified regime 1 <= c_r < c_R; no obstruction emitted",
     }
-    return _emit(report, EXIT_NO_OBSTRUCTION)
+    return _emit("certificate", inputs, outputs, [], EXIT_NO_OBSTRUCTION)
 
 
 def cmd_spectrum(args) -> int:
     _within_budget("--n", args.n, MAX_SPECTRUM_N)
     tol = _tol(args, DEFAULT_TOL)
-    have_substitution = args.T is not None and args.c is not None
-    if args.A is None and not have_substitution:
+    # --A alone, or --T and --c together: an A beside T or c would contradict their index
+    given = (args.A is not None, args.T is not None, args.c is not None)
+    if given not in ((True, False, False), (False, True, True)):
         raise UsageError("spectrum needs either --A or both --T and --c")
+    have_substitution = args.A is None
     N = args.N
     M = args.M if args.M is not None else N
-    A = args.A if args.A is not None else spectrum.substituted_flow_parameter(N, args.T, args.c)
+    A = spectrum.substituted_flow_parameter(N, args.T, args.c) if have_substitution else args.A
     form = spectrum.CirculantActionForm(n=args.n, N=N, M=M, A=A)
     matrix = spectrum.build_action_matrix(form)  # checks the size budget first
     analytic = spectrum.analytic_eigenvalues(form)
@@ -311,27 +308,16 @@ def cmd_spectrum(args) -> int:
         _check("analytic_vs_numeric", deviation, tol),
         _check("index_vs_eigenvalue_count", abs(index - brute), 0),
     ]
-    report = {
-        "command": "spectrum",
-        "inputs": {
-            "n": args.n,
-            "N": N,
-            "M": M,
-            "A": A,
-            "T": args.T,
-            "c": args.c,
-        },
-        "outputs": {
-            "eigenvalues_analytic": analytic,
-            "eigenvalues_numeric": numeric,
-            "positive_index": index,
-            "sphere_dim": sphere_dim,
-            "weights": weights,
-            "deviation": deviation,
-        },
-        "checks": checks,
+    inputs = {"n": args.n, "N": N, "M": M, "A": A, "T": args.T, "c": args.c}
+    outputs = {
+        "eigenvalues_analytic": analytic,
+        "eigenvalues_numeric": numeric,
+        "positive_index": index,
+        "sphere_dim": sphere_dim,
+        "weights": weights,
+        "deviation": deviation,
     }
-    return _emit(report)
+    return _emit("spectrum", inputs, outputs, checks)
 
 
 def cmd_gamma(args) -> int:
@@ -363,13 +349,8 @@ def cmd_gamma(args) -> int:
             checks.append(_check("f1_vs_grid", abs(cv.f1 - g1), tol))
             checks.append(_check("f2_vs_grid", abs(cv.f2 - g2), tol))
             checks.append(_check("membership_vs_grid", float(member != member_grid), 0))
-    report = {
-        "command": "gamma",
-        "inputs": {"R": args.R, "q1": args.q1, "q2": args.q2, "t": args.t, "grid": bool(args.grid)},
-        "outputs": outputs,
-        "checks": checks,
-    }
-    return _emit(report)
+    inputs = {"R": args.R, "q1": args.q1, "q2": args.q2, "t": args.t, "grid": bool(args.grid)}
+    return _emit("gamma", inputs, outputs, checks)
 
 
 def cmd_squeeze(args) -> int:
@@ -394,17 +375,13 @@ def cmd_squeeze(args) -> int:
         _check("contact_pullback", result.deviation, tol),
         _check("conformal_positive", 0.0 if result.min_conformal > 0 else 1.0, 0),
     ]
-    report = {
-        "command": "squeeze",
-        "inputs": {"N": args.N, "R": args.R, "samples": args.samples, "seed": args.seed},
-        "outputs": {
-            "squeezed_radius": radius,
-            "contact_deviation": result.deviation,
-            "min_conformal": result.min_conformal,
-        },
-        "checks": checks,
+    inputs = {"N": args.N, "R": args.R, "samples": args.samples, "seed": args.seed}
+    outputs = {
+        "squeezed_radius": radius,
+        "contact_deviation": result.deviation,
+        "min_conformal": result.min_conformal,
     }
-    return _emit(report)
+    return _emit("squeeze", inputs, outputs, checks)
 
 
 def cmd_ext(args) -> int:
@@ -421,23 +398,13 @@ def cmd_ext(args) -> int:
         "top": graded.top,
         "bounded": graded.bounded,
     }
-    report = {
-        "command": "ext",
-        "inputs": {"N": args.N, "lens": args.lens, "max_degree": args.max_degree},
-        "outputs": outputs,
-        "checks": [],
-    }
-    return _emit(report)
+    inputs = {"N": args.N, "lens": args.lens, "max_degree": args.max_degree}
+    return _emit("ext", inputs, outputs, [])
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

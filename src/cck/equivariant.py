@@ -22,6 +22,7 @@ compare against.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .errors import NonFreeAction
@@ -91,15 +92,17 @@ def resolution_maps(N: int) -> tuple[FpMatrix, FpMatrix]:
     return tminus1, norm
 
 
-def euler_class(lens: LensData) -> int:
+def euler_class(N: int, weights: Iterable[int]) -> int:
     """The scalar prod w_i mod N of the Euler class e(V) = (prod w_i) u^d.
 
     It is nonzero exactly when every weight is a unit mod N, that is
     when the action on S(V) is free; no weights give the empty product 1.
+    weights may be any iterable, such as a range, so a caller need not
+    build a list.
     """
     e = 1
-    for w in lens.weights:
-        e = e * w % lens.N
+    for w in weights:
+        e = e * w % N
     return e
 
 
@@ -108,14 +111,14 @@ def _gysin_dims(lens: LensData, max_degree: int) -> list[int]:
 
     V is the sum of the lines of the lens weights, d = len(weights), and
     multiplication by the Euler class maps H^j(BG) to H^(j+2d), both
-    one-dimensional for j >= 0, by the scalar euler_class(lens).  The
+    one-dimensional for j >= 0, by the scalar euler_class(N, weights).  The
     exact sequence
 
         H^(k-2d)(BG) -e-> H^k(BG) -> H^k_G(S(V)) -> H^(k-2d+1)(BG) -e-> H^(k+1)(BG)
 
     gives dim coker(e on H^(k-2d)) + dim ker(e on H^(k-2d+1)).
     """
-    e = euler_class(lens)
+    e = euler_class(lens.N, lens.weights)
     shift = 2 * len(lens.weights)
     # e is injective from the line H^j(BG), j >= 0, exactly when the scalar is nonzero
     return [

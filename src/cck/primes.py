@@ -1,4 +1,4 @@
-"""Deterministic primality testing and prime iteration.
+"""Deterministic primality testing.
 
 Miller-Rabin with the first thirteen primes 2..41 as bases is proven
 deterministic for all n below 3317044064679887385961981, the least
@@ -8,8 +8,6 @@ alone are fooled by 318665857834031151167461.  The bound is far beyond
 the default witness search limit of 10**6 used by the certificate
 module; is_prime refuses larger n rather than guess.
 """
-
-from collections.abc import Iterator
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
@@ -42,13 +40,3 @@ def is_prime(n: int) -> bool:
             return False
     return True
 
-
-def primes_from(start: int) -> Iterator[int]:
-    """Yield primes >= start in increasing order."""
-    n = max(2, start)
-    if n > 2 and n % 2 == 0:
-        n += 1
-    while True:
-        if is_prime(n):
-            yield n
-        n += 1 if n == 2 else 2

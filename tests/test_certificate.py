@@ -14,7 +14,7 @@ from cck.certificate import (
     nonsqueezing_certificate,
     restriction_degree,
 )
-from cck import cli, equivariant
+from cck import cli, equivariant, spectrum
 from cck.errors import (
     CapacityTooSmall,
     InvalidCapacities,
@@ -112,6 +112,22 @@ def test_witness_prime_is_smallest():
         assert not math.ceil(candidate / c_R) < math.ceil(candidate / c_r)
 
 
+def test_witness_prime_matches_sieve_and_fraction_reference():
+    limit = 2000
+    sieve = [False, False] + [True] * (limit - 1)
+    for p in range(2, limit + 1):
+        if sieve[p]:
+            for multiple in range(p * p, limit + 1, p):
+                sieve[multiple] = False
+    primes = [N for N in range(5, limit + 1) if sieve[N]]
+    grid = sorted({Fraction(k, d) for d in range(1, 7) for k in range(d, 6 * d + 1)})
+    pairs = [(c_r, c_R) for i, c_r in enumerate(grid) for c_R in grid[i + 1 :]]
+    pairs += [(Fraction(1), Fraction(m + 1, m)) for m in range(1, 201)]
+    for c_r, c_R in pairs:
+        expected = next(N for N in primes if math.ceil(N / c_R) < math.ceil(N / c_r))
+        assert find_witness_prime(c_r, c_R, limit) == expected, (c_r, c_R)
+
+
 def test_certificate_unit_capacities():
     cert = nonsqueezing_certificate(1, 1, 2)
     assert cert.N == 5
@@ -195,24 +211,36 @@ def test_restriction_degree_monotone_in_capacity(n, N, num, den):
         ("101/100", 101, 100, 200),
         ("1001/1000", 1009, 1008, 2016),
         ("10001/10000", 10007, 10006, 20012),
+        ("999983/999982", 999983, 999982, 1999964),
     ],
 )
 def test_certificate_large_witness_builds_no_dense_matrix(monkeypatch, c_R, N, ceil_R, deg_R):
     def refuse(*args):
-        raise AssertionError("dense matrix or cohomology profile built on the certificate path")
+        raise AssertionError("dense matrix, profile or weight list built on the certificate path")
 
     monkeypatch.setattr(FpMatrix, "__matmul__", refuse)
     monkeypatch.setattr(equivariant, "generator_matrix", refuse)
     monkeypatch.setattr(equivariant, "lens_cohomology", refuse)
     monkeypatch.setattr(equivariant, "point_equivariant_cohomology", refuse)
+    monkeypatch.setattr(equivariant, "LensData", refuse)
+    monkeypatch.setattr(spectrum, "cyclic_weights", refuse)
     cert = nonsqueezing_certificate(1, 1, c_R)
     assert cert.verdict is Verdict.OBSTRUCTED
     assert (cert.N, cert.ceil_R, cert.ceil_r) == (N, ceil_R, N)
     assert (cert.deg_R, cert.deg_r) == (deg_R, 2 * N)
 
 
+def test_factorial_power_is_the_euler_class_of_the_weight_list():
+    # the certificate's (k! mod N)^n against the product over spectrum.cyclic_weights
+    for n in (1, 2, 3):
+        for N in (5, 7, 11, 13):
+            for k in range(N + 1):
+                listed = equivariant.euler_class(N, spectrum.cyclic_weights(n, k, N))
+                assert pow(equivariant.euler_class(N, range(1, k + 1)), n, N) == listed
+
+
 def test_certificate_rejects_vanishing_euler_class(monkeypatch, capsys):
-    monkeypatch.setattr(equivariant, "euler_class", lambda lens: 0)
+    monkeypatch.setattr(equivariant, "euler_class", lambda N, weights: 0)
     with pytest.raises(NonFreeAction):
         nonsqueezing_certificate(1, 1, 2)
     assert cli.main(["certificate", "--cr", "1", "--cR", "2"]) == 1

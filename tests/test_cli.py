@@ -1,9 +1,13 @@
+import contextlib
 import functools
+import io
 import json
 import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cck import certificate, cli, hamflow, spectrum
 
@@ -143,6 +147,23 @@ def test_spectrum_no_convergence_reports_state(capsys, monkeypatch):
 def test_spectrum_needs_parameters(capsys):
     code, _, err = run_cli(capsys, "spectrum", "--N", "5")
     assert code == 64
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--T", "5"],
+        ["--c", "1"],
+        ["--A", "-0.1", "--T", "5", "--c", "1"],
+        ["--A", "-0.1", "--T", "5"],
+        ["--A", "-0.1", "--c", "1"],
+    ],
+)
+def test_spectrum_needs_A_alone_or_T_and_c(capsys, flags):
+    # --A next to --T/--c would report the T/c index beside the eigenvalues at A
+    code, doc, err = run_cli(capsys, "spectrum", "--N", "5", "--M", "5", *flags)
+    assert (code, doc) == (64, None)
+    assert "spectrum needs either --A or both --T and --c" in err
 
 
 def test_gamma_membership(capsys):
@@ -341,3 +362,102 @@ def test_squeeze_needs_a_sample(capsys, samples):
     code, doc, err = run_cli(capsys, "squeeze", "--N", "1", "--R", "1", "--samples", samples)
     assert (code, doc) == (1, None)
     assert "--samples must be >= 1" in err
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch):
+    monkeypatch.delenv("CCK_TOL", raising=False)
+    assert cli.build_parser() is cli.build_parser()
+    pair = ("certificate", "--cr", "1", "--cR", "2")
+    _, doc, _ = run_cli(capsys, *pair, "--from-radius")
+    assert doc["inputs"]["from_radius"] is True
+    _, doc, _ = run_cli(capsys, *pair)
+    assert doc["inputs"]["from_radius"] is False
+    _, doc, _ = run_cli(capsys, "--tol", "0.5", "squeeze", "--N", "1", "--R", "1")
+    assert doc["checks"][0]["tolerance"] == 0.5
+    _, doc, _ = run_cli(capsys, "squeeze", "--N", "1", "--R", "1")
+    assert doc["checks"][0]["tolerance"] == cli.CONTACT_TOL
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+#: (values that parse, values that are usage errors); the first include edge and over-budget values
+_INTS = (["-1", "0", "1", "2", "4", "5", "7", "1009"], ["x", "1.5"])
+_RATIONALS = (["1", "2", "3/2", "6/5", "11/10", "1/2", "0", "-1", "1e3"], ["1/0", "nan", "abc"])
+_FLOATS = (["-0.5", "-1e-3", "0", "1", "2.5"], ["nan", "inf", "1e400", "0.3,0.1"])
+_VECTORS = (["0", "0.3,0.1", "-0.2,0.4", "0.1,0.2,0.3", "1,1"], ["nan", ","])
+_FLAGS = {
+    "certificate": [
+        ("--n", (["-1", "0", "1", "2", str(cli.MAX_CERTIFICATE_N + 1)], ["x"])),
+        ("--cr", _RATIONALS),
+        ("--cR", _RATIONALS),
+        ("--limit", (["4", "5", "100", str(cli.MAX_WITNESS_LIMIT + 1)], ["1e6"])),
+        ("--from-radius", None),
+    ],
+    "spectrum": [
+        ("--n", (_INTS[0] + [str(cli.MAX_SPECTRUM_N + 1)], _INTS[1])),
+        ("--N", _INTS),
+        ("--M", _INTS),
+        ("--A", _FLOATS),
+        ("--T", _RATIONALS),
+        ("--c", _RATIONALS),
+    ],
+    "gamma": [("--R", _FLOATS), ("--q1", _VECTORS), ("--q2", _VECTORS), ("--t", _FLOATS),
+              ("--grid", None)],
+    "squeeze": [
+        ("--N", _INTS),
+        ("--R", _FLOATS),
+        ("--samples", (["-1", "0", "1", "60", str(cli.MAX_SQUEEZE_SAMPLES + 1)], ["x"])),
+        ("--seed", _INTS),
+    ],
+    "ext": [
+        ("--N", _INTS),
+        ("--lens", (["1,2", "1,5", "0", "1,2,3,4", "-1,3"], ["x", "1,"])),
+        ("--max-degree", (["-1", "0", "20", str(cli.MAX_EXT_DEGREE + 1)], ["x"])),
+    ],
+}
+_REQUIRED = {"--cr", "--cR", "--N", "--R", "--q1", "--q2", "--t"}
+
+
+@st.composite
+def _value(draw, values):
+    good, bad = values
+    return draw(st.sampled_from(bad if draw(st.integers(0, 7)) == 0 else good))
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    argv = ["--tol", draw(_value(_FLOATS))] if draw(st.integers(0, 3)) == 0 else []
+    argv.append(command)
+    # flags in any order; a required one is seldom missing, an optional one often
+    for flag, values in draw(st.permutations(_FLAGS[command])):
+        if flag in _REQUIRED and draw(st.integers(0, 7)) == 0:
+            continue
+        if flag not in _REQUIRED and draw(st.booleans()):
+            continue
+        if values is None:
+            argv.append(flag)
+        elif draw(st.booleans()):
+            argv.append(f"{flag}={draw(_value(values))}")
+        else:
+            argv += [flag, draw(_value(values))]
+    return argv
+
+
+@given(_argv())
+@settings(max_examples=120, deadline=None, derandomize=True)
+def test_every_argv_keeps_the_cli_contract(argv):
+    # edge values, swapped flags and values over budget: a documented exit code,
+    # strict JSON or nothing on stdout, and never a traceback
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in {0, 1, 2, 3, 64}, (argv, code)
+    if out.getvalue():
+        doc = json.loads(out.getvalue(), parse_constant=_reject_constant)
+        assert set(doc) == {"command", "inputs", "outputs", "checks"}
+    else:
+        assert code in (1, 64), argv
+    assert "Traceback" not in err.getvalue()
