@@ -24,7 +24,6 @@ from .errors import (
     InvalidCapacities,
     NoConvergence,
     NonFreeAction,
-    NonStationary,
     NoWitnessBelowLimit,
     OutsideDomain,
     OverBudget,
@@ -52,7 +51,6 @@ __all__ = [
     "InvalidCapacities",
     "NoConvergence",
     "NonFreeAction",
-    "NonStationary",
     "NoWitnessBelowLimit",
     "OutsideDomain",
     "OverBudget",

@@ -14,7 +14,9 @@ Reports are strict JSON: a NaN or infinity is never printed.
 
 The default tolerance for numeric checks is 1e-9 (finite-difference
 contact checks use 1e-4); the CCK_TOL environment variable overrides the
-default and the --tol flag overrides both.  Capacity flags take exact
+default and the --tol flag overrides both.  A tolerance is a finite
+number >= 0: a negative --tol is a usage error, and a negative CCK_TOL is
+ignored as malformed.  Capacity flags take exact
 rationals ("3/2" or "2"); floats appear only where the underlying
 quantities are genuinely real (angles, coordinates, flow parameters).
 """
@@ -95,6 +97,13 @@ def _finite(text: str) -> float:
     return value
 
 
+def _tolerance(text: str) -> float:
+    value = _finite(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"not a non-negative number: {text!r}")
+    return value
+
+
 def _vector(text: str) -> list[float]:
     return [_finite(part) for part in text.split(",")]
 
@@ -150,7 +159,7 @@ def _tol(args, fallback: float) -> float:
     env = os.environ.get("CCK_TOL")
     if env:
         try:
-            return _finite(env)
+            return _tolerance(env)
         except argparse.ArgumentTypeError:
             print(f"ignoring malformed CCK_TOL={env!r}", file=sys.stderr)
     return fallback
@@ -160,7 +169,7 @@ def _tol(args, fallback: float) -> float:
 def build_parser() -> Parser:
     """The parser, built once per process: parse_args keeps no state between calls."""
     parser = Parser(prog="cck", description=__doc__.splitlines()[0])
-    parser.add_argument("--tol", type=_finite, default=None, help="tolerance for numeric checks")
+    parser.add_argument("--tol", type=_tolerance, default=None, help="tolerance for numeric checks (>= 0)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("certificate", help="emit a non-squeezing certificate")
@@ -287,18 +296,17 @@ def cmd_spectrum(args) -> int:
         raise UsageError("spectrum needs either --A or both --T and --c")
     have_substitution = args.A is None
     N = args.N
-    M = args.M if args.M is not None else N
     A = spectrum.substituted_flow_parameter(N, args.T, args.c) if have_substitution else args.A
-    form = spectrum.CirculantActionForm(n=args.n, N=N, M=M, A=A)
+    form = spectrum.CirculantActionForm(n=args.n, N=N, M=args.M, A=A)
     matrix = spectrum.build_action_matrix(form)  # checks the size budget first
     analytic = spectrum.analytic_eigenvalues(form)
     numeric = spectrum.numeric_eigenvalues(matrix)
     deviation = float(np.max(np.abs(np.sort(analytic) - numeric)))
     if have_substitution:
-        index = spectrum.positive_index(args.n, N, M, args.T, args.c)
-        brute = spectrum.positive_count_from_eigenvalues(N, M, args.T, args.c)
+        index = spectrum.positive_index(args.n, N, form.M, args.T, args.c)
+        brute = spectrum.positive_count_from_eigenvalues(N, form.M, args.T, args.c)
     else:
-        half = (M * N - 1) // 2
+        half = (form.M * N - 1) // 2
         index = int(np.sum(analytic[1 : half + 1] > 1e-9))
         # MN is odd and lambda_0 > 0 for A < 0: the other positives come in pairs
         brute = (int(np.sum(numeric > 1e-9)) - 1) // 2
@@ -308,7 +316,7 @@ def cmd_spectrum(args) -> int:
         _check("analytic_vs_numeric", deviation, tol),
         _check("index_vs_eigenvalue_count", abs(index - brute), 0),
     ]
-    inputs = {"n": args.n, "N": N, "M": M, "A": A, "T": args.T, "c": args.c}
+    inputs = {"n": args.n, "N": N, "M": form.M, "A": A, "T": args.T, "c": args.c}
     outputs = {
         "eigenvalues_analytic": analytic,
         "eigenvalues_numeric": numeric,

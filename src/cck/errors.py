@@ -10,10 +10,6 @@ class SingularAngle(CckError):
     that needs the generating function in (q1, q2) coordinates."""
 
 
-class NonStationary(CckError):
-    """The stationarity system of an inf-convolution is singular."""
-
-
 class OutsideDomain(CckError):
     """The endpoint pair admits no rotation trajectory on the energy sphere
     (negative discriminant, or cosine roots outside [-1, 1])."""

@@ -65,17 +65,17 @@ class BlockQuery:
 
 @dataclass
 class CriticalData:
-    """Ordered critical angles in [0, pi/2] and, optionally, f there."""
+    """Ordered critical angles in [0, pi/2] and the values of f there."""
 
     a1: float
     a2: float
-    f1: float | None = None
-    f2: float | None = None
+    f1: float
+    f2: float
 
     def __post_init__(self):
         if not 0.0 <= self.a1 <= self.a2 <= math.pi / 2.0 + 1e-15:
             raise ValueError("critical angles must satisfy 0 <= a1 <= a2 <= pi/2")
-        if self.f1 is not None and self.f2 is not None and self.f2 > self.f1 + 1e-9:
+        if self.f2 > self.f1 + 1e-9:
             raise ValueError("critical values must satisfy f2 <= f1")
 
 
@@ -130,16 +130,6 @@ def _f_at_root(xi: float, R: float, q1: np.ndarray, q2: np.ndarray) -> float:
         num = (1.0 - xi) * Q - float(diff @ diff)
     s = math.sqrt((1.0 - xi) * (1.0 + xi))
     return num / (2.0 * s) - 0.5 * math.acos(xi) * R * R
-
-
-def critical_angles(R: float, q1, q2) -> CriticalData:
-    """Critical angles 0 <= a1 <= a2 <= pi/2 of f; requires d >= 0."""
-    if R <= 0:
-        raise ValueError("R must be positive")
-    q1 = np.atleast_1d(np.asarray(q1, dtype=float))
-    q2 = np.atleast_1d(np.asarray(q2, dtype=float))
-    xi_hi, xi_lo = _cos_roots(R, q1, q2)
-    return CriticalData(0.5 * math.acos(xi_hi), 0.5 * math.acos(xi_lo))
 
 
 def critical_values(R: float, q1, q2) -> CriticalData:
@@ -199,22 +189,6 @@ def sigma_membership(query: BlockQuery) -> bool:
     except OutsideDomain:
         return False
     return cv.f2 <= query.t < cv.f1
-
-
-def block_shift(R: float, j: int, n: int = 1) -> tuple[float, int, bool]:
-    """Data of the j-th block: t-lift, cohomological shift, twist parity.
-
-    Each step lifts t by pi R^2 / 2, shifts the degree by n = dim E and
-    twists the endpoint factors by the antidiagonal, so block j carries
-    (j pi R^2 / 2, j n, j odd).
-    """
-    if R <= 0:
-        raise ValueError("R must be positive")
-    if j < 1:
-        raise ValueError("block index j must be >= 1")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return (j * math.pi * R * R / 2.0, j * n, j % 2 == 1)
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,7 @@ def test_criterion_2_squeeze_radius_and_contact_check():
             w = rng.normal(size=k) + 1j * rng.normal(size=k)
             w *= math.sqrt(float(rng.uniform(0.0, 1.0)) / math.pi) / np.linalg.norm(w)
             samples.append(hamflow.PrequantPoint(w, float(rng.random())))
-        result = hamflow.contact_check(N, samples, h=1e-5)
+        result = hamflow.contact_check(N, samples)
         assert result.deviation < 1e-4, f"N={N}: deviation {result.deviation:.2e}"
         assert result.min_conformal > 0
     report("2 (squeeze radius exact on 1000 cases; contact deviation < 1e-4)")

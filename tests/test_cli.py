@@ -3,6 +3,7 @@ import functools
 import io
 import json
 import pathlib
+import time
 
 import numpy as np
 import pytest
@@ -309,6 +310,25 @@ def test_non_finite_env_tolerance_is_ignored(capsys, monkeypatch):
     assert "ignoring malformed CCK_TOL" in err
 
 
+def test_negative_tolerance_flag_is_usage_error(capsys):
+    # a negative tolerance would fail every check and blame the program (exit 3)
+    code, doc, err = run_cli(capsys, "--tol", "-1", "squeeze", "--N", "1", "--R", "1")
+    assert (code, doc) == (64, None)
+    assert "argument --tol: not a non-negative number: '-1'" in err
+    code, doc, _ = run_cli(capsys, "--tol", "0", "squeeze", "--N", "1", "--R", "1")
+    assert code == 3
+    assert doc["checks"][0]["tolerance"] == 0.0
+
+
+def test_negative_env_tolerance_is_ignored(capsys, monkeypatch):
+    monkeypatch.setenv("CCK_TOL", "-1")
+    argv = ("gamma", "--R", "1.2", "--q1", "0.4,0.1", "--q2", "0.2,-0.3", "--t", "-1.0", "--grid")
+    code, doc, err = run_cli(capsys, *argv)
+    assert code == 0
+    assert doc["checks"][0]["tolerance"] == cli.GRID_TOL
+    assert "ignoring malformed CCK_TOL='-1'" in err
+
+
 def test_non_finite_output_prints_nothing(capsys, monkeypatch):
     monkeypatch.setattr(hamflow, "squeezed_radius", lambda R, N: float("nan"))
     code = cli.main(["squeeze", "--N", "1", "--R", "1"])
@@ -446,14 +466,22 @@ def _argv(draw):
     return argv
 
 
+#: wall-time bound per argv of the contract gate; its slowest argv took 2.8 ms on 2 cores,
+#: and the slowest argv its flag values can form (spectrum at N = M = 7) ~30 ms
+ARGV_SECONDS = 2.0
+
+
 @given(_argv())
 @settings(max_examples=120, deadline=None, derandomize=True)
 def test_every_argv_keeps_the_cli_contract(argv):
     # edge values, swapped flags and values over budget: a documented exit code,
-    # strict JSON or nothing on stdout, and never a traceback
+    # strict JSON or nothing on stdout, never a traceback, and no argv past the time bound
     out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
+    elapsed = time.perf_counter() - start
+    assert elapsed < ARGV_SECONDS, (argv, elapsed)
     assert code in {0, 1, 2, 3, 64}, (argv, code)
     if out.getvalue():
         doc = json.loads(out.getvalue(), parse_constant=_reject_constant)

@@ -9,8 +9,6 @@ from cck.projector_geometry import (
     BlockQuery,
     CriticalData,
     action_profile,
-    block_shift,
-    critical_angles,
     critical_momenta,
     critical_values,
     discriminant,
@@ -32,34 +30,34 @@ def test_discriminant_values():
 
 
 def test_critical_angles_at_origin():
-    cd = critical_angles(1.0, [0.0], [0.0])
+    cd = critical_values(1.0, [0.0], [0.0])
     assert cd.a1 == 0.0
     assert cd.a2 == pytest.approx(math.pi / 2, abs=0)
 
 
 def test_critical_angles_double_root():
-    cd = critical_angles(1.0, [1.0], [0.0])
+    cd = critical_values(1.0, [1.0], [0.0])
     assert cd.a1 == pytest.approx(math.pi / 4, abs=1e-12)
     assert cd.a2 == pytest.approx(math.pi / 4, abs=1e-12)
 
 
 def test_critical_angles_equal_endpoints():
     # q1 = q2 = q: boundary root at a = 0 plus cos(a2) = |q|/R
-    cd = critical_angles(1.0, [0.5], [0.5])
+    cd = critical_values(1.0, [0.5], [0.5])
     assert cd.a1 == pytest.approx(0.0, abs=1e-12)
     assert cd.a2 == pytest.approx(math.pi / 3, abs=1e-12)
 
 
 def test_critical_angles_outside_domain():
     with pytest.raises(OutsideDomain):
-        critical_angles(1.0, [2.0], [0.0])
+        critical_values(1.0, [2.0], [0.0])
 
 
 def test_critical_angles_no_trajectory_for_far_equal_endpoints():
     # d = 9 > 0 but the cosine roots leave [-1, 1]: no sphere trajectory
     assert discriminant(1.0, [2.0], [2.0]) > 0
     with pytest.raises(OutsideDomain):
-        critical_angles(1.0, [2.0], [2.0])
+        critical_values(1.0, [2.0], [2.0])
 
 
 def test_critical_values_at_origin():
@@ -212,24 +210,8 @@ def test_action_profile_matches_generating_function():
         assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
-def test_block_shift_values():
-    t, deg, twist = block_shift(1.0, 1, n=3)
-    assert t == pytest.approx(math.pi / 2, abs=0)
-    assert deg == 3
-    assert twist is True
-    t, deg, twist = block_shift(1.0, 2, n=3)
-    assert t == pytest.approx(math.pi, abs=0)
-    assert deg == 6
-    assert twist is False
-
-
-def test_block_shift_rejects_nonpositive_index():
-    with pytest.raises(ValueError):
-        block_shift(1.0, 0)
-
-
 def test_critical_data_validates_order():
     with pytest.raises(ValueError):
-        CriticalData(a1=1.0, a2=0.5)
+        CriticalData(a1=1.0, a2=0.5, f1=0.0, f2=-1.0)
     with pytest.raises(ValueError):
         CriticalData(a1=0.1, a2=0.5, f1=-1.0, f2=0.0)
