@@ -12,6 +12,12 @@ failed, 1 domain error (including an input over a stated budget), 64
 usage error (including a malformed rational or a non-finite number).
 Reports are strict JSON: a NaN or infinity is never printed.
 
+A report does each piece of work once.  gamma computes the critical
+values once and reads membership from them (false where they do not
+exist), and the spectrum check index_vs_eigenvalue_count counts the
+positive eigenvalues of the Jacobi solve the report already holds, with
+--A and with --T/--c alike.
+
 The default tolerance for numeric checks is 1e-9 (finite-difference
 contact checks use 1e-4); the CCK_TOL environment variable overrides the
 default and the --tol flag overrides both.  A tolerance is a finite
@@ -35,7 +41,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import certificate, equivariant, hamflow, projector_geometry, spectrum
-from .errors import CckError, InvalidCapacities, OverBudget
+from .errors import CckError, InvalidCapacities, OutsideDomain, OverBudget
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -53,6 +59,9 @@ MAX_WITNESS_LIMIT = certificate.DEFAULT_WITNESS_LIMIT  # cck certificate --limit
 MAX_EXT_DEGREE = 10_000  # cck ext --max-degree, and the top degree 2d - 1 of --lens: ~0.1 MB of report
 MAX_SPECTRUM_N = 100  # cck spectrum --n: the report lists n weights per positive pair
 MAX_SQUEEZE_SAMPLES = 10_000  # cck squeeze --samples: ~0.2 s of sampling and contact checks
+# cck squeeze --N: on the exact map the fixed-step contact check errs by ~6.6e-10 N^2,
+# 6.6e-6 at the budget; from N ~ 390 on it would exceed CONTACT_TOL and blame the map
+MAX_SQUEEZE_N = 100
 
 
 class UsageError(Exception):
@@ -304,12 +313,12 @@ def cmd_spectrum(args) -> int:
     deviation = float(np.max(np.abs(np.sort(analytic) - numeric)))
     if have_substitution:
         index = spectrum.positive_index(args.n, N, form.M, args.T, args.c)
-        brute = spectrum.positive_count_from_eigenvalues(N, form.M, args.T, args.c)
     else:
         half = (form.M * N - 1) // 2
         index = int(np.sum(analytic[1 : half + 1] > 1e-9))
-        # MN is odd and lambda_0 > 0 for A < 0: the other positives come in pairs
-        brute = (int(np.sum(numeric > 1e-9)) - 1) // 2
+    # the Jacobi oracle in both modes: MN is odd and lambda_0 > 0 for A < 0,
+    # so the other positive eigenvalues come in pairs
+    brute = (int(np.sum(numeric > 1e-9)) - 1) // 2
     sphere_dim = 2 * args.n * index - 1
     weights = spectrum.cyclic_weights(args.n, index, N)
     checks = [
@@ -330,38 +339,32 @@ def cmd_spectrum(args) -> int:
 
 def cmd_gamma(args) -> int:
     tol = _tol(args, GRID_TOL)
-    query = projector_geometry.BlockQuery(args.R, args.q1, args.q2, args.t)
-    d = projector_geometry.discriminant(args.R, args.q1, args.q2)
-    member = projector_geometry.sigma_membership(query)
-    outputs = {
-        "discriminant": d,
-        "member": member,
-        "a1": None,
-        "a2": None,
-        "f1": None,
-        "f2": None,
-    }
+    R, q1, q2, t = args.R, args.q1, args.q2, args.t
+    d = projector_geometry.discriminant(R, q1, q2)  # checks R > 0 and equal lengths first
+    try:
+        cv = projector_geometry.critical_values(R, q1, q2)
+    except OutsideDomain:  # d < 0, or an endpoint no trajectory on the sphere reaches
+        cv = None
+    member = cv is not None and cv.contains(t)
+    outputs = {"discriminant": d, "member": member, "a1": None, "a2": None, "f1": None, "f2": None}
     checks = []
-    if d >= 0:
-        try:
-            cv = projector_geometry.critical_values(args.R, args.q1, args.q2)
-            outputs.update({"a1": cv.a1, "a2": cv.a2, "f1": cv.f1, "f2": cv.f2})
-        except CckError:
-            cv = None
-        if args.grid and cv is not None:
-            g1, g2 = projector_geometry.grid_extrema(args.R, args.q1, args.q2)
-            member_grid = projector_geometry.sigma_membership_grid(query)
+    if cv is not None:
+        outputs.update({"a1": cv.a1, "a2": cv.a2, "f1": cv.f1, "f2": cv.f2})
+        if args.grid:
+            g1, g2 = projector_geometry.grid_extrema(R, q1, q2)
+            member_grid = projector_geometry.sigma_membership_grid(R, q1, q2, t)
             outputs["f1_grid"] = g1
             outputs["f2_grid"] = g2
             outputs["member_grid"] = member_grid
             checks.append(_check("f1_vs_grid", abs(cv.f1 - g1), tol))
             checks.append(_check("f2_vs_grid", abs(cv.f2 - g2), tol))
             checks.append(_check("membership_vs_grid", float(member != member_grid), 0))
-    inputs = {"R": args.R, "q1": args.q1, "q2": args.q2, "t": args.t, "grid": bool(args.grid)}
+    inputs = {"R": R, "q1": q1, "q2": q2, "t": t, "grid": bool(args.grid)}
     return _emit("gamma", inputs, outputs, checks)
 
 
 def cmd_squeeze(args) -> int:
+    _within_budget("--N", args.N, MAX_SQUEEZE_N)
     _within_budget("--samples", args.samples, MAX_SQUEEZE_SAMPLES)
     if args.samples < 1:
         raise ValueError("--samples must be >= 1")
@@ -396,7 +399,7 @@ def cmd_ext(args) -> int:
     _within_budget("--max-degree", args.max_degree, MAX_EXT_DEGREE)
     if args.lens is not None:
         _within_budget("--lens top degree", 2 * len(args.lens) - 1, MAX_EXT_DEGREE)
-        graded = equivariant.lens_cohomology(equivariant.LensData(args.N, tuple(args.lens)))
+        graded = equivariant.lens_cohomology(args.N, args.lens)
     else:
         graded = equivariant.point_equivariant_cohomology(args.N, args.max_degree)
     outputs = {

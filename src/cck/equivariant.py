@@ -22,7 +22,7 @@ compare against.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 from .errors import NonFreeAction
@@ -55,18 +55,6 @@ class GradedFpVector:
     @property
     def bounded(self) -> bool:
         return self.top is not None
-
-
-@dataclass(frozen=True)
-class LensData:
-    """Modulus N and the unit weights of a free cyclic sphere action."""
-
-    N: int
-    weights: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
-        _require_odd_prime(self.N)
 
 
 def generator_matrix(N: int) -> FpMatrix:
@@ -106,7 +94,7 @@ def euler_class(N: int, weights: Iterable[int]) -> int:
     return e
 
 
-def _gysin_dims(lens: LensData, max_degree: int) -> list[int]:
+def _gysin_dims(N: int, weights: Sequence[int], max_degree: int) -> list[int]:
     """dim H^k_G(S(V); F_N) for k = 0..max_degree, from the Gysin sequence.
 
     V is the sum of the lines of the lens weights, d = len(weights), and
@@ -118,8 +106,8 @@ def _gysin_dims(lens: LensData, max_degree: int) -> list[int]:
 
     gives dim coker(e on H^(k-2d)) + dim ker(e on H^(k-2d+1)).
     """
-    e = euler_class(lens.N, lens.weights)
-    shift = 2 * len(lens.weights)
+    e = euler_class(N, weights)
+    shift = 2 * len(weights)
     # e is injective from the line H^j(BG), j >= 0, exactly when the scalar is nonzero
     return [
         (0 if e and k >= shift else 1)  # coker of e: H^(k-2d) -> H^k
@@ -128,24 +116,27 @@ def _gysin_dims(lens: LensData, max_degree: int) -> list[int]:
     ]
 
 
-def lens_cohomology(lens: LensData) -> GradedFpVector:
+def lens_cohomology(N: int, weights: Sequence[int]) -> GradedFpVector:
     """F_N cohomology of the quotient of the free weighted sphere action.
 
-    For d weights the sphere has dimension 2d - 1 and, when the Euler
-    class is nonzero, the result is one-dimensional in every degree
-    0..2d-1 and zero above: bounded with top = 2d - 1.  Raises
+    N must be an odd prime and weights nonempty; ValueError otherwise,
+    checked in that order.  For d weights the sphere has dimension
+    2d - 1 and, when the Euler class is nonzero, the result is
+    one-dimensional in every degree 0..2d-1 and zero above: bounded with
+    top = 2d - 1.  Raises
     NonFreeAction when the computed profile is unbounded, which happens
     exactly when a weight is 0 mod N: the Euler class vanishes and the
     action fixes a subsphere.
     """
-    if not lens.weights:
+    _require_odd_prime(N)
+    if not weights:
         raise ValueError("weight list must be nonempty")
-    top = 2 * len(lens.weights) - 1
+    top = 2 * len(weights) - 1
     # from degree top on the profile is constant, so one degree past top decides it
-    dims = _gysin_dims(lens, top + 1)
+    dims = _gysin_dims(N, weights, top + 1)
     if dims[top + 1]:
         raise NonFreeAction(
-            f"Euler class of weights {lens.weights} is 0 mod {lens.N}: "
+            f"Euler class of weights {tuple(weights)} is 0 mod {N}: "
             f"the profile is 2-dimensional from degree {top} on, unbounded"
         )
     return GradedFpVector(dict(enumerate(dims[: top + 1])), top=top)

@@ -26,9 +26,11 @@ At the critical angles the reconstructed momenta
 p1 = (q2 - xi q1)/sin 2a, p2 = (xi q2 - q1)/sin 2a lie on the energy
 sphere |q_i|^2 + |p_i|^2 = R^2.
 
-A grid search over f on (0, pi/2] is kept alongside the closed forms as
-an independent oracle for the critical values and for membership in the
-support set.
+Membership is read from CriticalData.contains, the one statement of the
+slab rule.  A grid search over f on (0, pi/2] is kept alongside the
+closed forms as an independent oracle for the critical values and for
+membership in the support set.  Every function takes the same plain
+arguments (R, q1, q2), plus t where membership is asked.
 """
 
 from __future__ import annotations
@@ -42,25 +44,10 @@ from .errors import OutsideDomain
 
 #: round-off absorbed when clamping cos(2a) roots into [-1, 1]
 XI_CLAMP = 1e-12
-
-
-@dataclass
-class BlockQuery:
-    """Endpoint pair plus the extra coordinate t probed for membership."""
-
-    R: float
-    q1: np.ndarray
-    q2: np.ndarray
-    t: float
-
-    def __post_init__(self):
-        if self.R <= 0:
-            raise ValueError("R must be positive")
-        self.q1 = np.atleast_1d(np.asarray(self.q1, dtype=float))
-        self.q2 = np.atleast_1d(np.asarray(self.q2, dtype=float))
-        if self.q1.shape != self.q2.shape:
-            raise ValueError("q1 and q2 must have the same length")
-        self.t = float(self.t)
+#: uniform grid over (0, pi/2] that both grid oracles scan
+GRID_POINTS = 10_000
+#: golden-section steps refining a grid extremum: 0.618^80 ~ 2e-17 of the bracket
+GOLDEN_ITERS = 80
 
 
 @dataclass
@@ -78,13 +65,22 @@ class CriticalData:
         if self.f2 > self.f1 + 1e-9:
             raise ValueError("critical values must satisfy f2 <= f1")
 
+    def contains(self, t: float) -> bool:
+        """Whether t lies in the support slab f(a2) <= t < f(a1): closed below, open above."""
+        return self.f2 <= t < self.f1
+
 
 def discriminant(R: float, q1, q2) -> float:
-    """Quarter discriminant d = <q1,q2>^2 - R^2 (|q1|^2 + |q2|^2 - R^2)."""
+    """Quarter discriminant d = <q1,q2>^2 - R^2 (|q1|^2 + |q2|^2 - R^2).
+
+    Checks its input: ValueError unless R > 0 and q1, q2 have one length.
+    """
     if R <= 0:
         raise ValueError("R must be positive")
     q1 = np.atleast_1d(np.asarray(q1, dtype=float))
     q2 = np.atleast_1d(np.asarray(q2, dtype=float))
+    if q1.shape != q2.shape:
+        raise ValueError("q1 and q2 must have the same length")
     P = float(q1 @ q2)
     return P * P - R * R * float(q1 @ q1 + q2 @ q2 - R * R)
 
@@ -182,26 +178,17 @@ def action_profile(R: float, q1, q2, a) -> np.ndarray:
     return _action(float(q1 @ q2), float(q1 @ q1 + q2 @ q2), R, np.asarray(a, dtype=float))
 
 
-def sigma_membership(query: BlockQuery) -> bool:
-    """Whether (q1, q2, t) lies in the support set: d >= 0 and f(a2) <= t < f(a1)."""
-    try:
-        cv = critical_values(query.R, query.q1, query.q2)
-    except OutsideDomain:
-        return False
-    return cv.f2 <= query.t < cv.f1
-
-
 # ---------------------------------------------------------------------------
 # grid oracle, independent of the closed forms above
 # ---------------------------------------------------------------------------
 
-def _golden(fun, lo: float, hi: float, maximize: bool, iters: int = 80) -> float:
+def _golden(fun, lo: float, hi: float, maximize: bool) -> float:
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     sign = -1.0 if maximize else 1.0
     c = hi - invphi * (hi - lo)
     d = lo + invphi * (hi - lo)
     fc, fd = sign * fun(c), sign * fun(d)
-    for _ in range(iters):
+    for _ in range(GOLDEN_ITERS):
         if fc < fd:
             hi, d, fd = d, c, fc
             c = hi - invphi * (hi - lo)
@@ -213,7 +200,7 @@ def _golden(fun, lo: float, hi: float, maximize: bool, iters: int = 80) -> float
     return 0.5 * (lo + hi)
 
 
-def grid_extrema(R: float, q1, q2, grid_points: int = 10_000) -> tuple[float, float]:
+def grid_extrema(R: float, q1, q2) -> tuple[float, float]:
     """Grid-search estimate of (f(a1), f(a2)) using only f evaluations.
 
     Interior local extrema of f on (0, pi/2] are located on a uniform
@@ -225,7 +212,7 @@ def grid_extrema(R: float, q1, q2, grid_points: int = 10_000) -> tuple[float, fl
     """
     q1 = np.atleast_1d(np.asarray(q1, dtype=float))
     q2 = np.atleast_1d(np.asarray(q2, dtype=float))
-    a = (np.arange(1, grid_points + 1) / grid_points) * (math.pi / 2.0)
+    a = (np.arange(1, GRID_POINTS + 1) / GRID_POINTS) * (math.pi / 2.0)
     f = action_profile(R, q1, q2, a)
     P, Q = float(q1 @ q2), float(q1 @ q1 + q2 @ q2)
 
@@ -253,7 +240,7 @@ def grid_extrema(R: float, q1, q2, grid_points: int = 10_000) -> tuple[float, fl
     return f_hi, f_lo
 
 
-def sigma_membership_grid(query: BlockQuery, grid_points: int = 10_000) -> bool:
+def sigma_membership_grid(R: float, q1, q2, t: float) -> bool:
     """Membership oracle: does {a : f(a) <= t} have a compact component?
 
     The sublevel set is scanned on a uniform grid over (0, pi/2]; a run
@@ -261,8 +248,7 @@ def sigma_membership_grid(query: BlockQuery, grid_points: int = 10_000) -> bool:
     end.  The right end a = pi/2 belongs to the domain, so runs ending
     there count.
     """
-    a = (np.arange(1, grid_points + 1) / grid_points) * (math.pi / 2.0)
-    f = action_profile(query.R, query.q1, query.q2, a)
-    mask = f <= query.t
+    a = (np.arange(1, GRID_POINTS + 1) / GRID_POINTS) * (math.pi / 2.0)
+    mask = action_profile(R, q1, q2, a) <= t
     # a run starting after index 0 is one that does not touch the open left end
     return bool(np.any(mask[1:] & ~mask[:-1]))

@@ -141,7 +141,7 @@ def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     return rounds
 
 
-def jacobi_eigensystem(matrix, sweep_limit: int = SWEEP_LIMIT) -> tuple[np.ndarray, np.ndarray]:
+def jacobi_eigensystem(matrix) -> tuple[np.ndarray, np.ndarray]:
     """Eigen-decomposition of a symmetric matrix by Jacobi rotations.
 
     Each sweep visits every off-diagonal pair once in the round-robin
@@ -162,7 +162,7 @@ def jacobi_eigensystem(matrix, sweep_limit: int = SWEEP_LIMIT) -> tuple[np.ndarr
 
     Returns (eigenvalues, column eigenvectors), unsorted.
     Raises NoConvergence, carrying the sweep count, the final
-    off-diagonal norm, its bound and the size, after sweep_limit sweeps.
+    off-diagonal norm, its bound and the size, after SWEEP_LIMIT sweeps.
     """
     A = np.array(matrix, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -177,15 +177,16 @@ def jacobi_eigensystem(matrix, sweep_limit: int = SWEEP_LIMIT) -> tuple[np.ndarr
     upper = np.triu_indices(n, 1)
     off_bound = OFF_DIAGONAL_TOL * max(1.0, float(np.linalg.norm(A)))
     sweep = 0
-    # a skipped pair may divide by a zero h or apq; np.where discards those lanes
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a skipped pair may divide by a zero h or apq, and theta * theta overflows only
+    # where |h / apq| > 1e154, so |h| + 100 |apq| == |h|: np.where discards all those lanes
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         while True:
             off = A[upper]
             sm = float(np.sum(np.abs(off)))
             off_norm = math.sqrt(2.0 * float(off @ off))
             if sm == 0.0 or off_norm <= off_bound:
                 return np.diag(A).copy(), V
-            if sweep == sweep_limit:
+            if sweep == SWEEP_LIMIT:
                 raise NoConvergence(n, off_bound, sweeps=sweep, off_norm=off_norm)
             tresh = 0.2 * sm / (n * n) if sweep < 3 else 0.0
             for p, q, pq in rounds:

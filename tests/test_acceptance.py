@@ -134,7 +134,7 @@ def test_criterion_6_homological_algebra():
         assert (tminus1 @ norm).is_zero() and (norm @ tminus1).is_zero()
         assert tminus1.nullity() == norm.rank()
         assert norm.nullity() == tminus1.rank()
-    lens = equivariant.lens_cohomology(equivariant.LensData(5, (1, 2, 3, 4)))
+    lens = equivariant.lens_cohomology(5, (1, 2, 3, 4))
     assert lens.dims == {i: 1 for i in range(8)}
     assert lens.top == 7 and lens.bounded
     point = equivariant.point_equivariant_cohomology(5, 20)

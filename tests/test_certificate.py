@@ -222,7 +222,6 @@ def test_certificate_large_witness_builds_no_dense_matrix(monkeypatch, c_R, N, c
     monkeypatch.setattr(equivariant, "generator_matrix", refuse)
     monkeypatch.setattr(equivariant, "lens_cohomology", refuse)
     monkeypatch.setattr(equivariant, "point_equivariant_cohomology", refuse)
-    monkeypatch.setattr(equivariant, "LensData", refuse)
     monkeypatch.setattr(spectrum, "cyclic_weights", refuse)
     cert = nonsqueezing_certificate(1, 1, c_R)
     assert cert.verdict is Verdict.OBSTRUCTED

@@ -1,8 +1,10 @@
 import contextlib
-import functools
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cck import certificate, cli, hamflow, spectrum
+from cck import certificate, cli, hamflow, projector_geometry, spectrum
 
 REFERENCE = pathlib.Path(__file__).parent / "data" / "oracle_reference.json"
 
@@ -87,8 +89,7 @@ def test_spectrum_report(capsys):
     assert all(check["passed"] for check in doc["checks"])
 
 
-def test_spectrum_index_check_counts_numeric_eigenvalues(capsys, monkeypatch):
-    argv = ("spectrum", "--N", "5", "--M", "5", "--A", "-0.7")
+def _flipped_pair_fails_index_check(capsys, monkeypatch, argv):
     code, doc, _ = run_cli(capsys, *argv)
     assert code == 0
     assert doc["checks"][1] == {
@@ -106,6 +107,28 @@ def test_spectrum_index_check_counts_numeric_eigenvalues(capsys, monkeypatch):
     assert code == 3
     assert doc["checks"][1]["name"] == "index_vs_eigenvalue_count"
     assert doc["checks"][1]["passed"] is False
+
+
+def test_spectrum_index_check_counts_numeric_eigenvalues(capsys, monkeypatch):
+    argv = ("spectrum", "--N", "5", "--M", "5", "--A", "-0.7")
+    _flipped_pair_fails_index_check(capsys, monkeypatch, argv)
+
+
+def test_spectrum_index_check_counts_numeric_eigenvalues_at_T_and_c(capsys, monkeypatch):
+    # the index ceil(T/c) - 1 = 2 against the Jacobi eigenvalues the report solved
+    argv = ("spectrum", "--N", "5", "--M", "5", "--T", "5/2", "--c", "1")
+    _flipped_pair_fails_index_check(capsys, monkeypatch, argv)
+
+
+def test_spectrum_discarded_overflow_leaves_stderr_empty():
+    # theta * theta overflows in Jacobi lanes that np.where discards; no warning may leak
+    argv = ["spectrum", "--N", "11", "--M", "5", "--T", "7", "--c", "1"]
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    env.pop("CCK_TOL", None)
+    run = subprocess.run([sys.executable, "-m", "cck.cli", *argv], capture_output=True, text=True, env=env)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert json.loads(run.stdout)["outputs"]["positive_index"] == 6
 
 
 def test_spectrum_singular_flow(capsys):
@@ -137,8 +160,7 @@ def test_spectrum_over_size_budget(capsys):
 
 
 def test_spectrum_no_convergence_reports_state(capsys, monkeypatch):
-    one_sweep = functools.partial(spectrum.jacobi_eigensystem, sweep_limit=1)
-    monkeypatch.setattr(spectrum, "jacobi_eigensystem", one_sweep)
+    monkeypatch.setattr(spectrum, "SWEEP_LIMIT", 1)
     code, doc, err = run_cli(capsys, "spectrum", "--N", "5", "--A", "-0.5")
     assert code == 1
     assert doc is None
@@ -186,6 +208,23 @@ def test_gamma_grid_oracle(capsys):
     names = {check["name"] for check in doc["checks"]}
     assert {"f1_vs_grid", "f2_vs_grid", "membership_vs_grid"} <= names
     assert all(check["passed"] for check in doc["checks"])
+
+
+def test_gamma_report_computes_critical_values_once(capsys, monkeypatch):
+    calls = []
+    original = projector_geometry.critical_values
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(projector_geometry, "critical_values", counted)
+    code, doc, _ = run_cli(
+        capsys, "gamma", "--R", "1", "--q1", "0.3,0.1", "--q2=-0.2,0.4", "--t", "-0.5", "--grid"
+    )
+    assert code == 0
+    assert doc["outputs"]["member"] is doc["outputs"]["member_grid"]
+    assert len(calls) == 1
 
 
 def test_gamma_negative_vector_after_space(capsys):
@@ -357,6 +396,7 @@ def test_conformal_check_fails_with_finite_residual(capsys, monkeypatch):
         (["certificate", "--cr", "1", "--cR", "2", "--n"], cli.MAX_CERTIFICATE_N),
         (["certificate", "--cr", "1", "--cR", "2", "--limit"], cli.MAX_WITNESS_LIMIT),
         (["ext", "--N", "5", "--lens"], cli.MAX_EXT_DEGREE),
+        (["squeeze", "--R", "1", "--N"], cli.MAX_SQUEEZE_N),
     ],
 )
 def test_input_over_budget_is_domain_error(capsys, monkeypatch, argv, budget):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from cck.equivariant import (
     _gysin_dims,
     GradedFpVector,
-    LensData,
     euler_class,
     lens_cohomology,
     point_equivariant_cohomology,
@@ -55,23 +54,23 @@ def test_kernel_of_shift_is_norm_line():
 
 
 def test_lens_two_weights():
-    graded = lens_cohomology(LensData(5, (1, 2)))
+    graded = lens_cohomology(5, (1, 2))
     assert graded.dims == {0: 1, 1: 1, 2: 1, 3: 1}
     assert graded.top == 3
     assert graded.bounded
 
 
 def test_lens_four_weights():
-    graded = lens_cohomology(LensData(5, (1, 2, 3, 4)))
+    graded = lens_cohomology(5, (1, 2, 3, 4))
     assert graded.dims == {i: 1 for i in range(8)}
     assert graded.top == 7
 
 
 def test_lens_rejects_non_unit_weight():
     with pytest.raises(NonFreeAction):
-        lens_cohomology(LensData(5, (5,)))
+        lens_cohomology(5, (5,))
     with pytest.raises(NonFreeAction):
-        lens_cohomology(LensData(5, (1, 10, 2)))
+        lens_cohomology(5, (1, 10, 2))
 
 
 @pytest.mark.parametrize(
@@ -87,9 +86,8 @@ def test_lens_rejects_non_unit_weight():
 )
 def test_gysin_profile_follows_euler_class(N, weights, profile):
     # prod w_i != 0 mod N: bounded with top 2d - 1; prod w_i == 0: dimension 2 from 2d - 1 on
-    lens = LensData(N, weights)
-    assert _gysin_dims(lens, 7) == profile
-    assert _gysin_dims(lens, 1000)[1000] == profile[7]
+    assert _gysin_dims(N, weights, 7) == profile
+    assert _gysin_dims(N, weights, 1000)[1000] == profile[7]
     assert bool(euler_class(N, weights)) == (profile[7] == 0)
 
 
@@ -103,23 +101,23 @@ def test_euler_class_is_weight_product_mod_N():
 
 def test_lens_rejects_empty_weights():
     with pytest.raises(ValueError):
-        lens_cohomology(LensData(5, ()))
+        lens_cohomology(5, ())
 
 
 def test_lens_independent_of_unit_weights():
-    base = lens_cohomology(LensData(5, (1, 2, 3, 4))).dims
+    base = lens_cohomology(5, (1, 2, 3, 4)).dims
     for perm in itertools.permutations((1, 2, 3, 4)):
-        assert lens_cohomology(LensData(5, perm)).dims == base
+        assert lens_cohomology(5, perm).dims == base
     for scale in (2, 3, 4):
         rescaled = tuple((scale * w) % 5 for w in (1, 2, 3, 4))
-        assert lens_cohomology(LensData(5, rescaled)).dims == base
+        assert lens_cohomology(5, rescaled).dims == base
 
 
 @given(st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=4))
 @settings(max_examples=40, deadline=None)
 def test_lens_total_dimension(weights):
     weights = tuple(w % 7 or 1 for w in weights)
-    graded = lens_cohomology(LensData(7, weights))
+    graded = lens_cohomology(7, weights)
     d = len(weights)
     assert sum(graded.dims.values()) == 2 * d
     # Euler characteristic vanishes in positive dimension
@@ -204,7 +202,7 @@ def test_lens_and_point_match_dense_reference(N):
         d = len(weights)
         differentials = [shifts[weights[i // 2]] if i % 2 == 0 else norm for i in range(2 * d - 1)]
         dense = _dense_hom_dims(differentials, N)
-        graded = lens_cohomology(LensData(N, weights))
+        graded = lens_cohomology(N, weights)
         assert graded.dims == {i: x for i, x in enumerate(dense) if x}, weights
         assert graded.top == 2 * d - 1
     for max_degree in (0, 1, 2, 7, 12):

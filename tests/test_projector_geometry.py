@@ -6,16 +6,22 @@ import pytest
 from cck import projector_geometry
 from cck.errors import OutsideDomain
 from cck.projector_geometry import (
-    BlockQuery,
     CriticalData,
     action_profile,
     critical_momenta,
     critical_values,
     discriminant,
     grid_extrema,
-    sigma_membership,
     sigma_membership_grid,
 )
+
+
+def in_support(R, q1, q2, t):
+    """Membership as cck gamma reads it: no critical values, or t in their slab."""
+    try:
+        return critical_values(R, q1, q2).contains(t)
+    except OutsideDomain:
+        return False
 
 
 def sample_in_ball(rng, R, k):
@@ -120,18 +126,18 @@ def test_momenta_on_energy_sphere():
 
 def test_sigma_membership_boundary_conventions():
     # bottom of the slab is closed, top is open
-    assert sigma_membership(BlockQuery(1.0, [0.0], [0.0], -math.pi / 2))
-    assert not sigma_membership(BlockQuery(1.0, [0.0], [0.0], 0.0))
-    assert sigma_membership(BlockQuery(1.0, [0.0], [0.0], -1.5))
+    assert in_support(1.0, [0.0], [0.0], -math.pi / 2)
+    assert not in_support(1.0, [0.0], [0.0], 0.0)
+    assert in_support(1.0, [0.0], [0.0], -1.5)
     for t in (-5.0, -1.0, 0.0, 2.0):
-        assert not sigma_membership(BlockQuery(1.0, [2.0], [0.0], t))
+        assert not in_support(1.0, [2.0], [0.0], t)
 
 
 def test_sigma_membership_double_root_slab_is_empty():
     cd = critical_values(1.0, [1.0], [0.0])
     assert cd.f1 == pytest.approx(cd.f2, abs=1e-12)
     for t in np.linspace(cd.f2 - 0.5, cd.f1 + 0.5, 20):
-        assert not sigma_membership(BlockQuery(1.0, [1.0], [0.0], float(t)))
+        assert not in_support(1.0, [1.0], [0.0], float(t))
 
 
 def test_sigma_membership_agrees_with_grid_oracle():
@@ -148,8 +154,7 @@ def test_sigma_membership_agrees_with_grid_oracle():
         # keep t away from the slab boundary at the grid's blind scale
         if min(abs(t - cv.f1), abs(t - cv.f2)) < 2e-3:
             continue
-        query = BlockQuery(R, q1, q2, t)
-        assert sigma_membership(query) == sigma_membership_grid(query)
+        assert in_support(R, q1, q2, t) == sigma_membership_grid(R, q1, q2, t)
         checked += 1
 
 
@@ -166,7 +171,8 @@ def test_sigma_membership_grid_runs(monkeypatch, profile, member):
     monkeypatch.setattr(
         projector_geometry, "action_profile", lambda R, q1, q2, a: np.array(profile)
     )
-    assert sigma_membership_grid(BlockQuery(1.0, [0.0], [0.0], 0.5), grid_points=4) is member
+    monkeypatch.setattr(projector_geometry, "GRID_POINTS", 4)
+    assert sigma_membership_grid(1.0, [0.0], [0.0], 0.5) is member
 
 
 def test_case_one_limits_to_equal_endpoint_case():

@@ -166,10 +166,11 @@ def test_jacobi_handles_degenerate_spectra():
         assert np.allclose(np.sort(w), np.sort(np.linalg.eigvalsh(B)), atol=1e-12)
 
 
-def test_jacobi_sweep_limit_raises():
+def test_jacobi_raises_after_too_many_sweeps(monkeypatch):
     form = CirculantActionForm(n=1, N=5, M=5, A=-0.5)
+    monkeypatch.setattr(spectrum, "SWEEP_LIMIT", 1)
     with pytest.raises(NoConvergence) as info:
-        jacobi_eigensystem(build_action_matrix(form), sweep_limit=1)
+        jacobi_eigensystem(build_action_matrix(form))
     err = info.value
     assert (err.sweeps, err.size, err.residual) == (1, 25, None)
     assert err.off_norm > err.bound > 0.0
