@@ -73,7 +73,9 @@ class CriticalData:
 def discriminant(R: float, q1, q2) -> float:
     """Quarter discriminant d = <q1,q2>^2 - R^2 (|q1|^2 + |q2|^2 - R^2).
 
-    Checks its input: ValueError unless R > 0 and q1, q2 have one length.
+    Checks its input: ValueError unless R > 0, q1 and q2 have one
+    length, and d is a finite float.  A term that overflows makes d
+    infinite or NaN, so the last check covers every term.
     """
     if R <= 0:
         raise ValueError("R must be positive")
@@ -81,8 +83,15 @@ def discriminant(R: float, q1, q2) -> float:
     q2 = np.atleast_1d(np.asarray(q2, dtype=float))
     if q1.shape != q2.shape:
         raise ValueError("q1 and q2 must have the same length")
-    P = float(q1 @ q2)
-    return P * P - R * R * float(q1 @ q1 + q2 @ q2 - R * R)
+    with np.errstate(over="ignore", invalid="ignore"):
+        P = float(q1 @ q2)
+        d = P * P - R * R * float(q1 @ q1 + q2 @ q2 - R * R)
+    if not math.isfinite(d):
+        raise ValueError(
+            f"R = {R!r}, q1 = {q1.tolist()}, q2 = {q2.tolist()} are too large: "
+            f"the discriminant <q1,q2>^2 - R^2 (|q1|^2 + |q2|^2 - R^2) is {d!r}"
+        )
+    return d
 
 
 def _cos_roots(R: float, q1: np.ndarray, q2: np.ndarray) -> tuple[float, float]:
@@ -200,7 +209,7 @@ def _golden(fun, lo: float, hi: float, maximize: bool) -> float:
     return 0.5 * (lo + hi)
 
 
-def grid_extrema(R: float, q1, q2) -> tuple[float, float]:
+def grid_extrema(R: float, q1, q2) -> tuple[float | None, float | None]:
     """Grid-search estimate of (f(a1), f(a2)) using only f evaluations.
 
     Interior local extrema of f on (0, pi/2] are located on a uniform
@@ -208,7 +217,8 @@ def grid_extrema(R: float, q1, q2) -> tuple[float, float]:
     the boundary instead, the boundary value of the matching degenerate
     case is used (0 at the open left end for q1 = q2, f(pi/2) at the
     closed right end).  Entirely independent of the critical-angle
-    quadratic.
+    quadratic.  A value the scan cannot find, such as the maximum at a
+    double root (d = 0), where f has no interior extremum, is None.
     """
     q1 = np.atleast_1d(np.asarray(q1, dtype=float))
     q2 = np.atleast_1d(np.asarray(q2, dtype=float))
@@ -228,7 +238,7 @@ def grid_extrema(R: float, q1, q2) -> tuple[float, float]:
     elif np.allclose(q1, q2):
         f_hi = 0.0
     else:
-        f_hi = math.inf
+        f_hi = None
 
     if minima.size:
         i = minima[np.argmin(f[minima])]
@@ -236,7 +246,7 @@ def grid_extrema(R: float, q1, q2) -> tuple[float, float]:
     elif f[-1] <= f[-2]:
         f_lo = float(f[-1])
     else:
-        f_lo = -math.inf
+        f_lo = None
     return f_hi, f_lo
 
 

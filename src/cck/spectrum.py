@@ -39,6 +39,8 @@ OFF_DIAGONAL_TOL = 1e-12
 #: largest matrix size MN the action form is built at: 17 x 17, whose
 #: Jacobi solve takes ~3.6 s on 2 cores (the cost grows as ~MN^3)
 MAX_ACTION_SIZE = 289
+#: an eigenvalue at or below this counts as zero, not positive
+POSITIVE_CUT = 1e-9
 
 
 @dataclass
@@ -150,13 +152,12 @@ def jacobi_eigensystem(matrix) -> tuple[np.ndarray, np.ndarray]:
     round computes all of its (c, s) at once and applies them together,
     with index arrays, to the rows of A, then its columns, then V.
 
-    Classic threshold scheme: the first 3 sweeps skip entries below
-    0.2 * sum|off| / n^2, later sweeps rotate everything and, from the
-    fifth on, zero out entries negligible against their diagonal
-    neighbours.  A skipped pair gets the identity rotation (c, s) =
-    (1, 0), which leaves its rows and columns bit-for-bit unchanged.
-    Converges when the off-diagonal Frobenius norm falls below 1e-12
-    relative to the input scale (or reaches exactly zero).
+    Every round rotates each of its pairs with a_pq != 0 and then sets
+    a_pq to exactly 0; a pair with a_pq = 0 gets the identity rotation
+    (c, s) = (1, 0), which leaves its rows and columns bit-for-bit
+    unchanged.  No threshold skips a pair: the round costs the same
+    either way.  Converges when the off-diagonal Frobenius norm falls
+    to 1e-12 relative to the input scale.
     Self-contained on purpose: this is the oracle the closed-form
     spectrum is checked against.
 
@@ -177,34 +178,24 @@ def jacobi_eigensystem(matrix) -> tuple[np.ndarray, np.ndarray]:
     upper = np.triu_indices(n, 1)
     off_bound = OFF_DIAGONAL_TOL * max(1.0, float(np.linalg.norm(A)))
     sweep = 0
-    # a skipped pair may divide by a zero h or apq, and theta * theta overflows only
-    # where |h / apq| > 1e154, so |h| + 100 |apq| == |h|: np.where discards all those lanes
+    # a pair with apq = 0 divides by zero, and theta * theta overflows only where
+    # |h / apq| > 1e154, so |h| + 100 |apq| == |h|: np.where discards all those lanes
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         while True:
             off = A[upper]
-            sm = float(np.sum(np.abs(off)))
             off_norm = math.sqrt(2.0 * float(off @ off))
-            if sm == 0.0 or off_norm <= off_bound:
+            if off_norm <= off_bound:
                 return np.diag(A).copy(), V
             if sweep == SWEEP_LIMIT:
                 raise NoConvergence(n, off_bound, sweeps=sweep, off_norm=off_norm)
-            tresh = 0.2 * sm / (n * n) if sweep < 3 else 0.0
             for p, q, pq in rounds:
                 apq = A[p, q]
                 d = A[pq, pq]
                 h = d[k:] - d[:k]
-                g = 100.0 * np.abs(apq)
-                rotate = np.abs(apq) > tresh
-                clear = rotate
-                if sweep > 3:
-                    tiny = np.abs(d) + np.concatenate((g, g)) == np.abs(d)
-                    negligible = tiny[:k] & tiny[k:]
-                    rotate = rotate & ~negligible
-                    clear = rotate | negligible
                 theta = 0.5 * h / apq
                 t = 1.0 / (np.abs(theta) + np.sqrt(1.0 + theta * theta))
-                t = np.where(np.abs(h) + g == np.abs(h), apq / h, np.where(theta < 0.0, -t, t))
-                t = np.where(rotate, t, 0.0)
+                t = np.where(np.abs(h) + 100.0 * np.abs(apq) == np.abs(h), apq / h, np.where(theta < 0.0, -t, t))
+                t = np.where(apq == 0.0, 0.0, t)
                 c = 1.0 / np.sqrt(1.0 + t * t)
                 s = t * c
                 # rows p ++ q as a (2, k, n) stack: new p = c p - s q, new q = s p + c q,
@@ -217,9 +208,8 @@ def jacobi_eigensystem(matrix) -> tuple[np.ndarray, np.ndarray]:
                     R *= cs
                     R += swapped
                     M[pq] = R.reshape(2 * k, n)
-                kept = np.where(clear, 0.0, apq)
-                A[p, q] = kept
-                A[q, p] = kept
+                A[p, q] = 0.0
+                A[q, p] = 0.0
             sweep += 1
 
 
@@ -277,21 +267,16 @@ def positive_index(n: int, N: int, M: int, T, c) -> int:
     return math.ceil(ratio) - 1
 
 
-def positive_count_from_eigenvalues(N: int, M: int, T, c, tol: float = 1e-9) -> int:
-    """Brute-force positive count over l = 1..(MN-1)/2 at the substituted A.
+def positive_count_from_eigenvalues(eigenvalues) -> int:
+    """Number of positive-eigenvalue pairs of an action-form spectrum.
 
-    Floating-point oracle for positive_index; eigenvalues within tol of
-    zero are not counted (the boundary eigenvalue at integer T/c).
+    Counts the eigenvalues above POSITIVE_CUT (an eigenvalue at the
+    boundary l = T/c is zero, not positive) and halves the count
+    rounding down: lambda_l = lambda_{MN-l} pairs every eigenvalue but
+    lambda_0, so the floor is right whether or not lambda_0 >= 0 clears
+    the cut.  The floating-point oracle of positive_index.
     """
-    theta = float(Fraction(T) / Fraction(c)) * 2.0 * math.pi / (M * N)
-    if not 0.0 < theta < math.pi / 2.0:
-        raise ValueError("substituted angle outside the admissible window")
-    s = math.sin(theta)
-    if abs(s) < 1e-12:
-        raise SingularAngle("substituted angle is singular")
-    l = np.arange(1, (M * N - 1) // 2 + 1)
-    lam = (np.cos(2.0 * math.pi * l / (M * N)) - math.cos(theta)) / s
-    return int(np.sum(lam > tol))
+    return int(np.sum(np.asarray(eigenvalues) > POSITIVE_CUT)) // 2
 
 
 def cyclic_weights(n: int, index_count: int, N: int) -> list[int]:

@@ -74,19 +74,21 @@ def test_criterion_3_spectral_oracle_equivalence():
 
 def test_criterion_4_index_formula_exact():
     rng = np.random.default_rng(102)
-    cases = []
-    for c in (Fraction(1), Fraction(3, 2), Fraction(2), Fraction(7, 3), Fraction(5, 2)):
-        for k in (1, 2, 3, 4):
-            cases.append((k * c, c))  # exact-integer ratios
-    while len(cases) < 200:
-        T = Fraction(int(rng.integers(1, 60)), int(rng.integers(1, 12)))
-        c = Fraction(int(rng.integers(1, 60)), int(rng.integers(1, 12)))
-        if 0 < T / c < 5:
-            cases.append((T, c))
-    for T, c in cases:
-        expected = spectrum.positive_count_from_eigenvalues(5, 5, T, c)
-        assert spectrum.positive_index(1, 5, 5, T, c) == expected, (T, c)
-    report("4 (ceiling index equals brute-force count on 200 cases, exact)")
+    for N in (5, 7):
+        cases = []
+        for c in (Fraction(1), Fraction(3, 2), Fraction(2), Fraction(7, 3), Fraction(5, 2)):
+            for k in (1, 2, 3, 4):
+                cases.append((k * c, c))  # exact-integer ratios
+        while len(cases) < 200:
+            T = Fraction(int(rng.integers(1, 60)), int(rng.integers(1, 12)))
+            c = Fraction(int(rng.integers(1, 60)), int(rng.integers(1, 12)))
+            if 0 < T / c < N:
+                cases.append((T, c))
+        for T, c in cases:
+            form = spectrum.CirculantActionForm(n=1, N=N, A=spectrum.substituted_flow_parameter(N, T, c))
+            expected = spectrum.positive_count_from_eigenvalues(spectrum.analytic_eigenvalues(form))
+            assert spectrum.positive_index(1, N, N, T, c) == expected, (N, T, c)
+    report("4 (ceiling index equals eigenvalue pair count on 2 x 200 cases, N = 5, 7, exact)")
 
 
 def test_criterion_5_gamma_geometry():

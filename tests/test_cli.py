@@ -125,10 +125,37 @@ def test_spectrum_discarded_overflow_leaves_stderr_empty():
     argv = ["spectrum", "--N", "11", "--M", "5", "--T", "7", "--c", "1"]
     src = str(pathlib.Path(cli.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    env.pop("CCK_TOL", None)
     run = subprocess.run([sys.executable, "-m", "cck.cli", *argv], capture_output=True, text=True, env=env)
     assert (run.returncode, run.stderr) == (0, "")
     assert json.loads(run.stdout)["outputs"]["positive_index"] == 6
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # eigenvalues up to 1.3e5 with a deviation of 6e-9: a relative error of 5e-14
+        ("spectrum", "--N", "13", "--M", "13", "--A=-1e-4"),
+        # lambda_0 = 2e-11 is below the cut, so the pair count takes no pair for it
+        ("spectrum", "--N", "5", "--M", "5", "--A=-1e-10"),
+    ],
+)
+def test_spectrum_check_tolerance_scales_with_the_eigenvalues(capsys, argv):
+    code, doc, _ = run_cli(capsys, *argv)
+    assert code == 0
+    scale = max(1.0, max(abs(x) for x in doc["outputs"]["eigenvalues_analytic"]))
+    assert doc["checks"][0]["tolerance"] == pytest.approx(cli.DEFAULT_TOL * scale, rel=1e-15)
+    assert doc["outputs"]["positive_index"] == 0
+
+
+def test_spectrum_relative_deviation_fails_the_check(capsys, monkeypatch):
+    argv = ("spectrum", "--N", "5", "--M", "5", "--A=-1e-10")
+    original = spectrum.numeric_eigenvalues
+    # every eigenvalue off by 1e-6 of itself, 1000 x the scaled tolerance
+    monkeypatch.setattr(spectrum, "numeric_eigenvalues", lambda matrix: original(matrix) * (1.0 + 1e-6))
+    code, doc, _ = run_cli(capsys, *argv)
+    assert code == 3
+    assert doc["checks"][0]["name"] == "analytic_vs_numeric"
+    assert doc["checks"][0]["passed"] is False
 
 
 def test_spectrum_singular_flow(capsys):
@@ -208,6 +235,39 @@ def test_gamma_grid_oracle(capsys):
     names = {check["name"] for check in doc["checks"]}
     assert {"f1_vs_grid", "f2_vs_grid", "membership_vs_grid"} <= names
     assert all(check["passed"] for check in doc["checks"])
+
+
+@pytest.mark.parametrize("q2", ["0", "1", "-1"])
+def test_gamma_grid_value_the_scan_cannot_find_is_null(capsys, q2):
+    # a double root (d = 0): f has no interior maximum, and at q2 != q1 no interior minimum
+    code, doc, err = run_cli(capsys, "gamma", "--R", "1", "--q1", "1", f"--q2={q2}", "--t", "-0.7", "--grid")
+    assert code == 0, err
+    out = doc["outputs"]
+    assert out["discriminant"] == 0.0
+    names = {check["name"] for check in doc["checks"]}
+    for key in ("f1", "f2"):
+        assert (out[f"{key}_grid"] is None) == (f"{key}_vs_grid" not in names)
+    assert out["f1_grid"] == (0.0 if q2 == "1" else None)
+    assert out["f2_grid"] is None
+    assert "membership_vs_grid" in names
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--R", "1", "--q1", "1e200", "--q2", "1e200"],
+        ["--R", "1", "--q1", "1e100", "--q2", "1e100"],
+        ["--R", "1e100", "--q1", "0", "--q2", "0"],
+        ["--R", "1e80", "--q1", "1e79", "--q2", "0", "--grid"],
+    ],
+)
+def test_gamma_overflowing_discriminant_is_domain_error(capsys, argv):
+    # an overflowing term would otherwise reach an internal invariant or the JSON encoder;
+    # a numpy overflow warning would fail the test, as filterwarnings makes it an error
+    code, doc, err = run_cli(capsys, "gamma", *argv, "--t", "0")
+    assert (code, doc) == (1, None)
+    assert err.startswith(f"error: R = {float(argv[1])!r}, q1 = [") and "too large" in err
+    assert err.count("\n") == 1
 
 
 def test_gamma_report_computes_critical_values_once(capsys, monkeypatch):
@@ -306,24 +366,6 @@ def test_reports_round_trip(capsys):
             assert set(check) == {"name", "passed", "residual", "tolerance"}
 
 
-def test_tolerance_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("CCK_TOL", "1e-30")
-    code, doc, _ = run_cli(capsys, "squeeze", "--N", "1", "--R", "1")
-    assert code == 3
-    assert doc["checks"][0]["tolerance"] == 1e-30
-    assert doc["checks"][0]["passed"] is False
-    monkeypatch.setenv("CCK_TOL", "0.5")
-    code, doc, _ = run_cli(capsys, "squeeze", "--N", "1", "--R", "1")
-    assert doc["checks"][0]["tolerance"] == 0.5
-
-
-def test_tolerance_flag_beats_env(capsys, monkeypatch):
-    monkeypatch.setenv("CCK_TOL", "1e-30")
-    code, doc, _ = run_cli(capsys, "--tol", "1e-3", "squeeze", "--N", "1", "--R", "1")
-    assert doc["checks"][0]["tolerance"] == 1e-3
-    assert doc["checks"][0]["passed"] is True
-
-
 @pytest.mark.parametrize(
     "argv, flag",
     [
@@ -341,14 +383,6 @@ def test_non_finite_number_is_usage_error(capsys, argv, flag):
     assert f"argument {flag}: not a finite number" in err
 
 
-def test_non_finite_env_tolerance_is_ignored(capsys, monkeypatch):
-    monkeypatch.setenv("CCK_TOL", "nan")
-    code, doc, err = run_cli(capsys, "squeeze", "--N", "1", "--R", "1")
-    assert code == 0
-    assert doc["checks"][0]["tolerance"] == cli.CONTACT_TOL
-    assert "ignoring malformed CCK_TOL" in err
-
-
 def test_negative_tolerance_flag_is_usage_error(capsys):
     # a negative tolerance would fail every check and blame the program (exit 3)
     code, doc, err = run_cli(capsys, "--tol", "-1", "squeeze", "--N", "1", "--R", "1")
@@ -357,15 +391,6 @@ def test_negative_tolerance_flag_is_usage_error(capsys):
     code, doc, _ = run_cli(capsys, "--tol", "0", "squeeze", "--N", "1", "--R", "1")
     assert code == 3
     assert doc["checks"][0]["tolerance"] == 0.0
-
-
-def test_negative_env_tolerance_is_ignored(capsys, monkeypatch):
-    monkeypatch.setenv("CCK_TOL", "-1")
-    argv = ("gamma", "--R", "1.2", "--q1", "0.4,0.1", "--q2", "0.2,-0.3", "--t", "-1.0", "--grid")
-    code, doc, err = run_cli(capsys, *argv)
-    assert code == 0
-    assert doc["checks"][0]["tolerance"] == cli.GRID_TOL
-    assert "ignoring malformed CCK_TOL='-1'" in err
 
 
 def test_non_finite_output_prints_nothing(capsys, monkeypatch):
@@ -424,8 +449,7 @@ def test_squeeze_needs_a_sample(capsys, samples):
     assert "--samples must be >= 1" in err
 
 
-def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch):
-    monkeypatch.delenv("CCK_TOL", raising=False)
+def test_parser_is_built_once_and_keeps_no_state(capsys):
     assert cli.build_parser() is cli.build_parser()
     pair = ("certificate", "--cr", "1", "--cR", "2")
     _, doc, _ = run_cli(capsys, *pair, "--from-radius")

@@ -8,10 +8,8 @@ from cck.errors import OutsideDomain
 from cck.projector_geometry import (
     CriticalData,
     action_profile,
-    critical_momenta,
     critical_values,
     discriminant,
-    grid_extrema,
     sigma_membership_grid,
 )
 
@@ -78,22 +76,6 @@ def test_critical_values_equal_endpoints():
     assert cd.f1 == 0.0
 
 
-def test_critical_values_match_grid_oracle():
-    rng = np.random.default_rng(10)
-    checked = 0
-    while checked < 120:
-        R = rng.uniform(0.3, 2.5)
-        k = int(rng.integers(1, 4))
-        q1, q2 = sample_in_ball(rng, R, k), sample_in_ball(rng, R, k)
-        if discriminant(R, q1, q2) <= 1e-6:
-            continue
-        cv = critical_values(R, q1, q2)
-        g1, g2 = grid_extrema(R, q1, q2)
-        assert cv.f1 == pytest.approx(g1, abs=1e-6)
-        assert cv.f2 == pytest.approx(g2, abs=1e-6)
-        checked += 1
-
-
 def test_critical_value_order_invariant():
     rng = np.random.default_rng(11)
     for _ in range(300):
@@ -107,21 +89,6 @@ def test_critical_value_order_invariant():
         assert cv.f2 <= cv.f1 + 1e-9
         if discriminant(R, q1, q2) > 1e-4:
             assert cv.f2 < cv.f1  # equality only at a vanishing discriminant
-
-
-def test_momenta_on_energy_sphere():
-    rng = np.random.default_rng(12)
-    checked = 0
-    while checked < 200:
-        R = rng.uniform(0.3, 2.5)
-        k = int(rng.integers(1, 4))
-        q1, q2 = sample_in_ball(rng, R, k), sample_in_ball(rng, R, k)
-        if discriminant(R, q1, q2) <= 1e-6:
-            continue
-        for _, p1, p2 in critical_momenta(R, q1, q2):
-            assert float(q1 @ q1 + p1 @ p1) == pytest.approx(R * R, abs=1e-9)
-            assert float(q2 @ q2 + p2 @ p2) == pytest.approx(R * R, abs=1e-9)
-        checked += 1
 
 
 def test_sigma_membership_boundary_conventions():

@@ -25,7 +25,6 @@ REFERENCE = {
     "apply_rotation": "the time-a flow whose graph check_graph_identity compares with dS_a",
     "PhasePoint": "the (q, p) point that apply_rotation and check_graph_identity take",
     "generator_matrix": "the permutation matrix of g from which resolution_maps builds g - 1",
-    "positive_count_from_eigenvalues": "criterion 4: positive_index against the cosine sign count",
 }
 
 
